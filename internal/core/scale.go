@@ -80,7 +80,8 @@ type ScaleTelemetry struct {
 	TSDB *tsdb.Config
 	// OnShardDB is called with each shard's store right after its
 	// platform assembles, before any task runs — attach it to the
-	// HTTP server here. Called from the shard's harness worker.
+	// HTTP server here. Called from the shard's harness worker, so
+	// shards call it concurrently: it must be safe for concurrent use.
 	OnShardDB func(shard int, db *tsdb.DB)
 	// Progress, when non-nil, receives shard lifecycle and batched
 	// task-completion callbacks.

@@ -31,6 +31,25 @@ func BenchmarkProcSleepLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkSpawnExit measures proc spawn/exit churn on one long-lived
+// env: each iteration spawns a proc that exits at once and waits for
+// it, so the cost is Spawn, two switches, and the exit bookkeeping on
+// a runner reused from the idle list.
+func BenchmarkSpawnExit(b *testing.B) {
+	env := NewEnv()
+	b.ReportAllocs()
+	env.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			c := env.Spawn("child", func(*Proc) {})
+			p.Wait(c.Done())
+		}
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkChanPingPong measures rendezvous cost between two procs.
 func BenchmarkChanPingPong(b *testing.B) {
 	env := NewEnv()

@@ -2,9 +2,13 @@
 // discrete-event simulation kernel.
 //
 // An Env owns a virtual clock and an event queue. Simulated activities
-// are either plain scheduled callbacks (Schedule) or Procs: goroutines
+// are either plain scheduled callbacks (Schedule) or Procs: coroutines
 // that run one at a time under the scheduler's control and advance
 // virtual time by blocking on Sleep, Events, Chans, or Resources.
+// Each proc body runs on a runner, an iter.Pull coroutine that the
+// scheduler switches into directly (runtime.coroswitch) instead of
+// handing off through channels; a runner whose body returned waits on
+// the Env's bounded idle list for the next Spawn (see runner.go).
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects
@@ -46,7 +50,6 @@ type Env struct {
 	now     time.Duration
 	seq     int64
 	queue   eventHeap
-	ack     chan struct{}
 	procs   map[int64]*Proc
 	nextPID int64
 	running bool
@@ -60,6 +63,9 @@ type Env struct {
 	// recycles the proc buffers used to batch multi-waiter fanouts.
 	freeWaiter  *eventWaiter
 	freeBatches [][]*Proc
+	// idle holds runners whose proc body returned, for Spawn to reuse
+	// (capped, see maxIdleRunners); released when run returns.
+	idle []*runner
 	// dispatched counts executed events; always on (a single
 	// increment) so throughput scenarios can report events/sec without
 	// attaching an observer.
@@ -91,10 +97,7 @@ func (e *Env) SetObserver(o Observer) { e.obs = o }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{
-		ack:   make(chan struct{}),
-		procs: make(map[int64]*Proc),
-	}
+	return &Env{procs: make(map[int64]*Proc)}
 }
 
 // Now reports the current virtual time.
@@ -267,7 +270,10 @@ func (e *Env) run(horizon time.Duration) error {
 		return errors.New("devent: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.running = false
+		e.releaseIdle()
+	}()
 
 	for e.failure == nil {
 		it := e.peek()
@@ -349,14 +355,14 @@ func (h *eventHeap) Pop() any {
 	return it
 }
 
-// Proc is a simulated process: a goroutine that runs under scheduler
-// control and may block in virtual time.
+// Proc is a simulated process: a body that runs on a runner coroutine
+// under scheduler control and may block in virtual time.
 type Proc struct {
 	env    *Env
 	id     int64
 	base   string
-	name   string // formatted lazily from base+id
-	resume chan struct{}
+	name   string  // formatted lazily from base+id
+	r      *runner // the runner executing the body; nil once it returned
 	parked bool
 	dead   bool
 	daemon bool
@@ -374,28 +380,30 @@ func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
 	p := &Proc{
-		env:    e,
-		id:     e.nextPID,
-		base:   name,
-		resume: make(chan struct{}),
-		done:   e.NewEvent(),
+		env:  e,
+		id:   e.nextPID,
+		base: name,
+		done: e.NewEvent(),
 	}
 	e.procs[p.id] = p
 	if e.obs != nil {
 		e.obs.ProcSpawned(p.Name(), e.now)
 	}
-	go p.body(fn)
+	p.r = e.getRunner()
+	p.r.proc, p.r.fn = p, fn
 	e.scheduleProc(0, p)
 	return p
 }
 
+// body runs fn as p's body, turning a panic into Env.Fail so the
+// runner survives it, then records the exit.
 func (p *Proc) body(fn func(p *Proc)) {
-	<-p.resume
 	defer func() {
 		if r := recover(); r != nil {
 			p.env.Fail(fmt.Errorf("devent: proc %s panicked: %v\n%s", p.Name(), r, debug.Stack()))
 		}
 		p.dead = true
+		p.r = nil
 		delete(p.env.procs, p.id)
 		if p.env.obs != nil {
 			p.env.obs.ProcExited(p.Name(), p.env.now)
@@ -403,26 +411,23 @@ func (p *Proc) body(fn func(p *Proc)) {
 		if !p.done.Fired() {
 			p.done.Fire(nil)
 		}
-		p.env.ack <- struct{}{}
 	}()
 	fn(p)
 }
 
-// handoff transfers control to p and waits until it parks or exits.
+// handoff switches to p's runner and returns once p parks or exits.
 func (e *Env) handoff(p *Proc) {
 	if p.dead {
 		return
 	}
 	p.parked = false
-	p.resume <- struct{}{}
-	<-e.ack
+	p.r.next()
 }
 
 // park yields control back to the scheduler until somebody resumes p.
 func (p *Proc) park() {
 	p.parked = true
-	p.env.ack <- struct{}{}
-	<-p.resume
+	p.r.yield(struct{}{})
 }
 
 // wake schedules p to resume at the current virtual time.

@@ -420,6 +420,9 @@ func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
 		h.obs.AddSpan("htex", "init", w.name, wspan, t0, p.Now())
 	}
 	w.ready = true
+	// Names of each task's done event and body proc, built once per
+	// worker rather than per task.
+	taskEvent, taskProc := "task:"+w.name, w.name+"/task"
 	for {
 		// Retirement is checked before the queue: RecvOr drains buffered
 		// work first, so a retired worker would otherwise keep picking
@@ -454,8 +457,8 @@ func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
 		// Run the task body in its own proc so a worker crash
 		// (KillWorker) can abandon it: the orphaned body keeps no
 		// resources once the GPU context is destroyed.
-		taskDone := h.env.NewNamedEvent("task:" + w.name)
-		body := h.env.Spawn(w.name+"/task", func(tp *devent.Proc) {
+		taskDone := h.env.NewNamedEvent(taskEvent)
+		body := h.env.Spawn(taskProc, func(tp *devent.Proc) {
 			result, err := sub.app.Fn(faas.NewInvocation(tp, t, sub.args, w.env, w))
 			if taskDone.Fired() {
 				return // worker already declared lost

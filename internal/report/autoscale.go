@@ -25,10 +25,12 @@ type AutoscaleOptions struct {
 	Stream bool
 	// WrapSink, when set with Stream, wraps each cell's span sink —
 	// the live server tees its /spans tail in here. Ignored without
-	// Stream.
+	// Stream. Called from the cells' harness workers concurrently: it
+	// must be safe for concurrent use.
 	WrapSink func(cell string, base obs.SpanSink) obs.SpanSink
 	// Telemetry attaches the live observability plane per cell (the
-	// cell label plays the fleet artifact's load role).
+	// cell label plays the fleet artifact's load role). Its OnCellDB
+	// runs concurrently from the cells' harness workers.
 	Telemetry *FleetTelemetry
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this

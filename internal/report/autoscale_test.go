@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,10 +111,16 @@ func TestAutoscaleVerdictHolds(t *testing.T) {
 func TestAutoscaleTelemetryHooks(t *testing.T) {
 	var b bytes.Buffer
 	opts := autoscaleTestOptions()
+	// OnCellDB runs concurrently from the cells' harness workers.
+	var mu sync.Mutex
 	seen := make(map[string]*tsdb.DB)
 	opts.Telemetry = &FleetTelemetry{
-		TSDB:     &tsdb.Config{},
-		OnCellDB: func(cell string, db *tsdb.DB) { seen[cell] = db },
+		TSDB: &tsdb.Config{},
+		OnCellDB: func(cell string, db *tsdb.DB) {
+			mu.Lock()
+			seen[cell] = db
+			mu.Unlock()
+		},
 	}
 	if err := Autoscale(&b, opts); err != nil {
 		t.Fatal(err)

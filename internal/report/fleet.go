@@ -27,7 +27,9 @@ type FleetOptions struct {
 	Stream bool
 	// WrapSink, when set with Stream, wraps each cell's span sink —
 	// the live server tees its /spans tail in here. Ignored without
-	// Stream (snapshot collection has no sink to tee).
+	// Stream (snapshot collection has no sink to tee). Called from the
+	// cells' harness workers concurrently: it must be safe for
+	// concurrent use.
 	WrapSink func(load string, base obs.SpanSink) obs.SpanSink
 	// Telemetry attaches the live observability plane per load cell.
 	Telemetry *FleetTelemetry
@@ -42,7 +44,11 @@ type FleetOptions struct {
 // FleetTelemetry carries the live-plane hooks for the fleet artifact:
 // one virtual-time series store per load cell.
 type FleetTelemetry struct {
-	TSDB     *tsdb.Config
+	TSDB *tsdb.Config
+	// OnCellDB is called with each cell's store right after the cell
+	// assembles, on the harness worker running that cell. Cells run
+	// concurrently, so OnCellDB must be safe for concurrent use and
+	// must not touch any cell's virtual state.
 	OnCellDB func(load string, db *tsdb.DB)
 }
 

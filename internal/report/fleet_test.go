@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,10 +88,16 @@ func TestFleetArtifactShape(t *testing.T) {
 func TestFleetTelemetryHooks(t *testing.T) {
 	var b bytes.Buffer
 	opts := fleetTestOptions()
+	// OnCellDB runs concurrently from the cells' harness workers.
+	var mu sync.Mutex
 	seen := make(map[string]*tsdb.DB)
 	opts.Telemetry = &FleetTelemetry{
-		TSDB:     &tsdb.Config{},
-		OnCellDB: func(load string, db *tsdb.DB) { seen[load] = db },
+		TSDB: &tsdb.Config{},
+		OnCellDB: func(load string, db *tsdb.DB) {
+			mu.Lock()
+			seen[load] = db
+			mu.Unlock()
+		},
 	}
 	if err := Fleet(&b, opts); err != nil {
 		t.Fatal(err)
