@@ -74,9 +74,11 @@ bench-obs:
 	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/obs/tsdb ./internal/obs/live > BENCH_obs.json
 
 # The fleet-layer record: the from-scratch 100-GPU greedy solve, the
-# steady-state churn step, and the fragmentation metric.
+# steady-state churn step, the fragmentation metric (the cached fleet
+# mean must stay 0 allocs/op — BenchmarkFleetFrag100GPUs enforces it),
+# and a 128-GPU rebalance; six samples each so noise shows as spread.
 bench-fleet:
-	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/fleet > BENCH_fleet.json
+	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x -count 6 ./internal/fleet > BENCH_fleet.json
 
 # The autoscaling record: the controller's per-tick overhead, the
 # million-user traffic sampler, and the end-to-end autoscaled cell.

@@ -221,8 +221,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			if env.Now() > cfg.Duration {
 				return
 			}
+			frag := cl.Fragmentation()
 			var nMIG, nMPS, nEmpty int
-			for _, g := range cl.Fragmentation().PerGPU {
+			for _, g := range frag.PerGPU {
 				switch g.Mode {
 				case "mig":
 					nMIG++
@@ -233,7 +234,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 				}
 			}
 			res.FragSeries = append(res.FragSeries, FleetFragPoint{
-				T: env.Now(), Frag: cl.Fragmentation().Fleet, Tenants: cl.Tenants(),
+				T: env.Now(), Frag: frag.Fleet, Tenants: cl.Tenants(),
 				MIG: nMIG, MPS: nMPS, Empty: nEmpty,
 			})
 		}

@@ -86,3 +86,49 @@ func BenchmarkFragmentation100GPUs(b *testing.B) {
 		_ = c.Fragmentation().Fleet
 	}
 }
+
+// benchFrag keeps the fleetFrag result live so the call is not
+// optimised away.
+var benchFrag float64
+
+// BenchmarkFleetFrag100GPUs is the gauge path after every Place and
+// Evict: the fleet mean over the cached per-GPU values, which must not
+// allocate.
+func BenchmarkFleetFrag100GPUs(b *testing.B) {
+	inv := mixedInventory(50, 50)
+	c, err := New(Config{Inventory: inv})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range benchDemands(200) {
+		_, _ = c.Place(d)
+	}
+	benchFrag = c.fleetFrag() // fill the per-GPU caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFrag = c.fleetFrag()
+	}
+	b.StopTimer()
+	if n := testing.AllocsPerRun(10, func() { benchFrag = c.fleetFrag() }); n != 0 {
+		b.Fatalf("fleetFrag makes %v allocs/op, want 0", n)
+	}
+}
+
+// BenchmarkRebalance128 times one Rebalance of a churned 128-GPU fleet
+// holding about 300 tenants: the drift check's from-scratch solve plus,
+// when it is less fragmented, its adoption. Each iteration starts from
+// a fresh copy of the same churned state.
+func BenchmarkRebalance128(b *testing.B) {
+	inv := mixedInventory(64, 64)
+	churned := churnedCluster(b, 7, inv, 1100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := churnedCluster(b, 7, inv, 1100)
+		b.StartTimer()
+		c.Rebalance()
+	}
+	b.ReportMetric(float64(churned.Tenants()), "tenants")
+}

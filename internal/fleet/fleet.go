@@ -35,6 +35,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/simgpu"
@@ -211,7 +212,7 @@ type instance struct {
 	shares []*share
 }
 
-func (in *instance) sms(spec simgpu.DeviceSpec) int {
+func (in *instance) sms(spec *simgpu.DeviceSpec) int {
 	return in.prof.Slices * spec.SMsPerSlice
 }
 
@@ -235,10 +236,15 @@ func (in *instance) usedMem() int64 {
 type gpuState struct {
 	idx      int
 	gpu      GPU
+	class    int // index of the GPU's spec among the inventory's distinct specs
 	mode     gpuMode
-	profiles []simgpu.MIGProfile // cached MIGProfilesFor(spec), small→large
+	profiles []simgpu.MIGProfile // MIGProfilesFor(spec), small→large, shared per class
 	insts    []*instance         // modeMIG, kept sorted by start
 	shares   []*share            // modeMPS whole-GPU shares
+	// frag caches gpuFrag while fragOK holds; every mutation of the
+	// GPU clears fragOK (Validate checks the cache against a recompute).
+	frag   float64
+	fragOK bool
 }
 
 func (g *gpuState) usedPct() int {
@@ -257,17 +263,28 @@ func (g *gpuState) usedMem() int64 {
 	return m
 }
 
-// occupancy returns the compute-slice bitmap and used memory slices of
-// a MIG-mode GPU.
-func (g *gpuState) occupancy() (occupied []bool, memSlices int) {
-	occupied = make([]bool, g.gpu.Spec.MIGSlices)
+// sliceMask is the occupancy bit set of n compute slices from start.
+// The MIG placement lattice spans seven slices, so a uint8 holds it.
+func sliceMask(start, n int) uint8 {
+	return uint8((1<<n - 1) << start)
+}
+
+// occupancy returns the compute-slice mask and used memory slices of a
+// MIG-mode GPU.
+func (g *gpuState) occupancy() (occ uint8, memSlices int) {
 	for _, in := range g.insts {
-		for s := in.start; s < in.start+in.prof.Slices; s++ {
-			occupied[s] = true
-		}
+		occ |= sliceMask(in.start, in.prof.Slices)
 		memSlices += in.prof.MemSlices
 	}
-	return occupied, memSlices
+	return occ, memSlices
+}
+
+// cachedFrag returns gpuFrag(g), recomputing it only after a mutation.
+func (g *gpuState) cachedFrag() float64 {
+	if !g.fragOK {
+		g.frag, g.fragOK = gpuFrag(g), true
+	}
+	return g.frag
 }
 
 // Cluster is the fleet's placement state. Not safe for concurrent use:
@@ -280,6 +297,9 @@ type Cluster struct {
 	// order is the arrival order of live tenants — the demand sequence
 	// a from-scratch solve replays.
 	order []string
+	// emptySeen is bestCandidate's per-pass scratch: which spec classes
+	// already had an empty GPU probed.
+	emptySeen []bool
 
 	obsC *obs.Collector
 	// metrics (nil without a collector)
@@ -297,13 +317,25 @@ func New(cfg Config) (*Cluster, error) {
 		byTenant: make(map[string]*Placement),
 		obsC:     cfg.Obs,
 	}
+	// GPUs of one spec share a class: a profile table, and one probe
+	// per search while they are empty (see bestCandidate).
+	var specs []simgpu.DeviceSpec
+	var profiles [][]simgpu.MIGProfile
 	for i, g := range cfg.Inventory {
+		class := slices.Index(specs, g.Spec)
+		if class < 0 {
+			class = len(specs)
+			specs = append(specs, g.Spec)
+			profiles = append(profiles, simgpu.MIGProfilesFor(g.Spec))
+		}
 		c.gpus = append(c.gpus, &gpuState{
 			idx:      i,
 			gpu:      g,
-			profiles: simgpu.MIGProfilesFor(g.Spec),
+			class:    class,
+			profiles: profiles[class],
 		})
 	}
+	c.emptySeen = make([]bool, len(specs))
 	if cfg.Obs != nil {
 		m := cfg.Obs.Metrics()
 		c.cPlaced = m.Counter("fleet_place_total", obs.L("status", "placed"))
@@ -373,7 +405,7 @@ func (c *Cluster) updateGauges() {
 		}
 	}
 	c.gTenants.Set(float64(len(c.order)))
-	c.gFrag.Set(c.Fragmentation().Fleet)
+	c.gFrag.Set(c.fleetFrag())
 	c.gMIG.Set(float64(nMIG))
 	c.gMPS.Set(float64(nMPS))
 	c.gEmpty.Set(float64(nEmpty))

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/simgpu"
 )
@@ -47,62 +48,84 @@ type FragReport struct {
 	Fleet  float64
 }
 
-// Fragmentation computes the current snapshot.
+// Fragmentation computes the current snapshot from the per-GPU cached
+// values (see gpuState.cachedFrag).
 func (c *Cluster) Fragmentation() FragReport {
 	rep := FragReport{PerGPU: make([]GPUFrag, 0, len(c.gpus))}
-	sum := 0.0
 	for _, g := range c.gpus {
-		f := gpuFrag(g)
-		rep.PerGPU = append(rep.PerGPU, GPUFrag{ID: g.gpu.ID, Mode: g.mode.String(), Frag: f})
-		sum += f
+		rep.PerGPU = append(rep.PerGPU, GPUFrag{ID: g.gpu.ID, Mode: g.mode.String(), Frag: g.cachedFrag()})
 	}
-	if len(c.gpus) > 0 {
-		rep.Fleet = sum / float64(len(c.gpus))
-	}
+	rep.Fleet = c.fleetFrag()
 	return rep
 }
 
-// gpuFrag scores one device.
+// fleetFrag is Fragmentation().Fleet without building the per-GPU
+// list. It sums the cached per-GPU values in inventory order on every
+// call rather than keeping a running total, so the result has exactly
+// the bits a fresh sum would.
+func (c *Cluster) fleetFrag() float64 {
+	if len(c.gpus) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, g := range c.gpus {
+		sum += g.cachedFrag()
+	}
+	return sum / float64(len(c.gpus))
+}
+
+// gpuFrag scores one device from scratch.
 func gpuFrag(g *gpuState) float64 {
 	switch g.mode {
 	case modeMPS:
-		return mpsFrag(g)
+		return mpsFrag(&g.gpu.Spec, g.usedPct(), g.usedMem())
 	case modeMIG:
-		return migFrag(g)
+		occ, memSl := g.occupancy()
+		return migFrag(g, occ, memSl, migProbe{})
 	}
 	return 0
 }
 
-// mpsFrag is the whole-GPU MPS imbalance: the smaller of the free
+// mpsFrag is the whole-GPU MPS imbalance of a device whose shares use
+// usedPct percent and usedMem bytes: the smaller of the free
 // percentage fraction and the free memory fraction is what the next
 // arrival can actually have; the difference is stranded.
-func mpsFrag(g *gpuState) float64 {
-	spec := g.gpu.Spec
-	freePct := float64(100-g.usedPct()) / 100
+func mpsFrag(spec *simgpu.DeviceSpec, usedPct int, usedMem int64) float64 {
+	freePct := float64(100-usedPct) / 100
 	freeMem := 1.0
 	if spec.MemBytes > 0 {
-		freeMem = float64(spec.MemBytes-g.usedMem()) / float64(spec.MemBytes)
+		freeMem = float64(spec.MemBytes-usedMem) / float64(spec.MemBytes)
 	}
 	return math.Abs(freePct - freeMem)
 }
 
-// migFrag scores a MIG-mode device: stranded compute slices (free but
+// migProbe is a hypothetical share scored without touching the GPU:
+// pct percent and mem bytes added to the existing instance inst, or,
+// with inst nil and pct > 0, the sole share of a new prof instance. The
+// zero probe scores the GPU as it stands.
+type migProbe struct {
+	inst *instance
+	prof simgpu.MIGProfile
+	pct  int
+	mem  int64
+}
+
+// migFrag scores a MIG-mode layout: stranded compute slices (free but
 // not coverable by any profile placement), stranded memory slices, and
-// intra-instance percentage/memory imbalance.
-func migFrag(g *gpuState) float64 {
-	spec := g.gpu.Spec
-	occupied, memUsed := g.occupancy()
-	freeMemSl := spec.MemSlices - memUsed
-	freeSl := 0
-	for _, o := range occupied {
-		if !o {
-			freeSl++
-		}
-	}
+// intra-instance percentage/memory imbalance. occ and memSl are the
+// layout's slice mask and used memory slices, the new instance's
+// included when p adds one. That instance's imbalance is summed last,
+// after g.insts even when its start sorts earlier: the greedy choice
+// compares these floats, and the placements the packer is pinned to
+// come from this summation order (frag_test.go checks it bit for bit).
+func migFrag(g *gpuState, occ uint8, memSl int, p migProbe) float64 {
+	spec := &g.gpu.Spec
+	freeMemSl := spec.MemSlices - memSl
+	freeSl := spec.MIGSlices - bits.OnesCount8(occ)
 
 	// Greedy largest-first cover of the free slices: the most capacity
 	// any sequence of future instances could reclaim.
-	usableSl, usableMemSl := coverFree(g, occupied, freeMemSl)
+	usableSl, usableMemSl := coverFree(g.profiles, spec.MIGSlices, occ, freeMemSl)
 
 	strandedSMFrac := 0.0
 	totalSMSl := float64(spec.MIGSlices)
@@ -112,16 +135,18 @@ func migFrag(g *gpuState) float64 {
 	// memory (or vice versa) strands the surplus, weighted by the
 	// instance's share of the device.
 	for _, in := range g.insts {
-		used := in.usedPct()
+		used, mem := in.usedPct(), in.usedMem()
+		if in == p.inst {
+			used += p.pct
+			mem += p.mem
+		}
 		if used == 0 {
 			continue // dedicated-capacity accounting handled by the cover
 		}
-		freePct := float64(100-used) / 100
-		freeMem := 1.0
-		if in.prof.MemBytes > 0 {
-			freeMem = float64(in.prof.MemBytes-in.usedMem()) / float64(in.prof.MemBytes)
-		}
-		strandedSMFrac += math.Abs(freePct-freeMem) * float64(in.prof.Slices) / totalSMSl
+		strandedSMFrac += instImbalance(in.prof, used, mem, totalSMSl)
+	}
+	if p.inst == nil && p.pct > 0 {
+		strandedSMFrac += instImbalance(p.prof, p.pct, p.mem, totalSMSl)
 	}
 
 	strandedMemFrac := 0.0
@@ -131,36 +156,39 @@ func migFrag(g *gpuState) float64 {
 	return math.Max(strandedSMFrac, strandedMemFrac)
 }
 
+// instImbalance is the device fraction one instance strands when its
+// shares use usedPct percent and usedMem bytes.
+func instImbalance(prof simgpu.MIGProfile, usedPct int, usedMem int64, totalSMSl float64) float64 {
+	freePct := float64(100-usedPct) / 100
+	freeMem := 1.0
+	if prof.MemBytes > 0 {
+		freeMem = float64(prof.MemBytes-usedMem) / float64(prof.MemBytes)
+	}
+	return math.Abs(freePct-freeMem) * float64(prof.Slices) / totalSMSl
+}
+
 // coverFree greedily lays the largest fitting profiles over the free
-// slices (respecting the placement lattice and the free memory-slice
-// budget) and reports how many compute and memory slices the cover
-// reaches. Free slices outside the cover are stranded.
-func coverFree(g *gpuState, occupied []bool, freeMemSl int) (usableSl, usableMemSl int) {
-	covered := make([]bool, len(occupied))
-	copy(covered, occupied)
+// slices of an nSlices-slice device whose occupied slices are occ
+// (respecting the placement lattice and the free memory-slice budget)
+// and reports how many compute and memory slices the cover reaches.
+// Free slices outside the cover are stranded.
+func coverFree(profiles []simgpu.MIGProfile, nSlices int, occ uint8, freeMemSl int) (usableSl, usableMemSl int) {
+	covered := occ
 	memLeft := freeMemSl
 	// profiles are small→large; walk large→small.
-	for i := len(g.profiles) - 1; i >= 0; i-- {
-		p := g.profiles[i]
+	for i := len(profiles) - 1; i >= 0; i-- {
+		p := profiles[i]
 		for {
 			placed := false
 			for _, start := range simgpu.MIGStarts(p.Slices) {
-				if start+p.Slices > len(covered) || p.MemSlices > memLeft {
+				if start+p.Slices > nSlices || p.MemSlices > memLeft {
 					continue
 				}
-				free := true
-				for s := start; s < start+p.Slices; s++ {
-					if covered[s] {
-						free = false
-						break
-					}
-				}
-				if !free {
+				m := sliceMask(start, p.Slices)
+				if covered&m != 0 {
 					continue
 				}
-				for s := start; s < start+p.Slices; s++ {
-					covered[s] = true
-				}
+				covered |= m
 				memLeft -= p.MemSlices
 				usableSl += p.Slices
 				usableMemSl += p.MemSlices

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/rightsize"
@@ -47,6 +47,12 @@ type candidate struct {
 // memory fit, then already-used GPUs over empty ones, then inventory
 // order, then sharing an existing instance over cutting a new one,
 // then the lowest start slice.
+//
+// bestCandidate probes only the first empty GPU of each spec. That is
+// exact only because idx is compared after every field that empty GPUs
+// of one spec share: their candidates then differ in idx alone, and
+// the lowest index always wins. Moving the idx tie-break ahead of any
+// such field would break that equivalence.
 func (a candidate) better(b candidate) bool {
 	if a.delta != b.delta {
 		return a.delta < b.delta
@@ -107,7 +113,9 @@ func (c *Cluster) Place(d Demand) (Placement, error) {
 }
 
 // bestCandidate runs the greedy search: the MIG candidate set first,
-// the whole-GPU MPS set only when that is empty.
+// the whole-GPU MPS set only when that is empty. In each pass only the
+// first empty GPU of each spec is probed: the others would offer the
+// same candidates with a higher idx, which better never prefers.
 func (c *Cluster) bestCandidate(d Demand) (candidate, bool) {
 	var best candidate
 	found := false
@@ -116,28 +124,48 @@ func (c *Cluster) bestCandidate(d Demand) (candidate, bool) {
 			best, found = cand, true
 		}
 	}
+	clear(c.emptySeen)
 	for _, g := range c.gpus {
-		migCandidates(g, d, consider)
+		if !c.dupEmpty(g) {
+			migCandidates(g, d, consider)
+		}
 	}
 	if found {
 		return best, true
 	}
+	clear(c.emptySeen)
 	for _, g := range c.gpus {
-		mpsCandidate(g, d, consider)
+		if !c.dupEmpty(g) {
+			mpsCandidate(g, d, consider)
+		}
 	}
 	return best, found
+}
+
+// dupEmpty reports whether g is empty and an earlier empty GPU of the
+// same spec was already probed in this pass.
+func (c *Cluster) dupEmpty(g *gpuState) bool {
+	if g.mode != modeEmpty {
+		return false
+	}
+	if c.emptySeen[g.class] {
+		return true
+	}
+	c.emptySeen[g.class] = true
+	return false
 }
 
 // migCandidates emits every feasible MIG segment on one GPU: shares of
 // existing instances and new instances of the smallest covering
 // profile at every free valid start. The candidate's fragmentation
-// delta is probed by applying the tentative segment and reverting.
+// delta scores the hypothetical layout without mutating the GPU.
 func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
-	spec := g.gpu.Spec
+	spec := &g.gpu.Spec
 	if spec.MIGSlices == 0 || g.mode == modeMPS {
 		return
 	}
-	before := gpuFrag(g)
+	before := g.cachedFrag()
+	occ, memSl := g.occupancy()
 	// Shares of existing instances.
 	for _, in := range g.insts {
 		instSMs := in.sms(spec)
@@ -151,14 +179,12 @@ func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
 		if d.MemBytes > in.prof.MemBytes-in.usedMem() {
 			continue
 		}
-		sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}
-		in.shares = append(in.shares, sh)
-		delta := gpuFrag(g) - before
-		in.shares = in.shares[:len(in.shares)-1]
+		sms := pctGrant(instSMs, pct)
+		delta := migFrag(g, occ, memSl, migProbe{inst: in, pct: pct, mem: d.MemBytes}) - before
 		consider(candidate{
 			g: g, kind: SegMIG, inst: in, prof: in.prof, start: in.start,
-			pct: pct, sms: sh.sms,
-			delta: delta, waste: sh.sms - d.SMs,
+			pct: pct, sms: sms,
+			delta: delta, waste: sms - d.SMs,
 			wasEmpty: g.mode == modeEmpty,
 		})
 	}
@@ -167,40 +193,25 @@ func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
 	if !ok {
 		return
 	}
-	occupied, memUsed := g.occupancy()
-	if memUsed+prof.MemSlices > spec.MemSlices {
+	if memSl+prof.MemSlices > spec.MemSlices {
 		return
 	}
 	instSMs := prof.Slices * spec.SMsPerSlice
 	pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
+	sms := pctGrant(instSMs, pct)
+	probe := migProbe{prof: prof, pct: pct, mem: d.MemBytes}
 	for _, start := range simgpu.MIGStarts(prof.Slices) {
-		if start+prof.Slices > spec.MIGSlices {
+		m := sliceMask(start, prof.Slices)
+		if start+prof.Slices > spec.MIGSlices || occ&m != 0 {
 			continue
 		}
-		free := true
-		for s := start; s < start+prof.Slices; s++ {
-			if occupied[s] {
-				free = false
-				break
-			}
-		}
-		if !free {
-			continue
-		}
-		in := &instance{prof: prof, start: start,
-			shares: []*share{{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}}}
-		g.insts = append(g.insts, in)
-		wasMode := g.mode
-		g.mode = modeMIG
-		delta := gpuFrag(g) - before
-		g.mode = wasMode
-		g.insts = g.insts[:len(g.insts)-1]
+		delta := migFrag(g, occ|m, memSl+prof.MemSlices, probe) - before
 		consider(candidate{
 			g: g, kind: SegMIG, prof: prof, start: start,
-			pct: pct, sms: in.shares[0].sms,
-			delta: delta, waste: in.shares[0].sms - d.SMs,
+			pct: pct, sms: sms,
+			delta: delta, waste: sms - d.SMs,
 			memWaste: prof.MemBytes - d.MemBytes,
-			wasEmpty: wasMode == modeEmpty,
+			wasEmpty: g.mode == modeEmpty,
 		})
 	}
 }
@@ -208,7 +219,7 @@ func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
 // mpsCandidate emits the whole-GPU MPS fallback segment on one GPU,
 // when it has percentage and memory room.
 func mpsCandidate(g *gpuState, d Demand, consider func(candidate)) {
-	spec := g.gpu.Spec
+	spec := &g.gpu.Spec
 	if g.mode == modeMIG {
 		return
 	}
@@ -216,31 +227,26 @@ func mpsCandidate(g *gpuState, d Demand, consider func(candidate)) {
 		return
 	}
 	pct := rightsize.MinGrantingPercent(spec.SMs, d.SMs)
-	if pct > 100-g.usedPct() {
+	usedPct, usedMem := g.usedPct(), g.usedMem()
+	if pct > 100-usedPct {
 		return
 	}
-	if d.MemBytes > spec.MemBytes-g.usedMem() {
+	if d.MemBytes > spec.MemBytes-usedMem {
 		return
 	}
-	before := gpuFrag(g)
-	sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(spec.SMs, pct), mem: d.MemBytes}
-	g.shares = append(g.shares, sh)
-	wasMode := g.mode
-	g.mode = modeMPS
-	delta := gpuFrag(g) - before
-	g.mode = wasMode
-	g.shares = g.shares[:len(g.shares)-1]
+	sms := pctGrant(spec.SMs, pct)
+	delta := mpsFrag(spec, usedPct+pct, usedMem+d.MemBytes) - g.cachedFrag()
 	consider(candidate{
 		g: g, kind: SegMPS,
-		pct: pct, sms: sh.sms,
-		delta: delta, waste: sh.sms - d.SMs,
-		wasEmpty: wasMode == modeEmpty,
+		pct: pct, sms: sms,
+		delta: delta, waste: sms - d.SMs,
+		wasEmpty: g.mode == modeEmpty,
 	})
 }
 
 // coveringProfile returns the smallest profile covering the demand's
 // SMs and memory (profiles are ordered small → large).
-func coveringProfile(spec simgpu.DeviceSpec, profiles []simgpu.MIGProfile, d Demand) (simgpu.MIGProfile, bool) {
+func coveringProfile(spec *simgpu.DeviceSpec, profiles []simgpu.MIGProfile, d Demand) (simgpu.MIGProfile, bool) {
 	for _, p := range profiles {
 		if p.Slices*spec.SMsPerSlice >= d.SMs && p.MemBytes >= d.MemBytes {
 			return p, true
@@ -260,6 +266,7 @@ func (c *Cluster) apply(d Demand, cand candidate) Placement {
 		MemBytes: d.MemBytes,
 	}
 	sh := &share{tenant: d.Tenant, pct: cand.pct, sms: cand.sms, mem: d.MemBytes}
+	g.fragOK = false
 	switch cand.kind {
 	case SegMIG:
 		seg.Profile = cand.prof.Name
@@ -268,8 +275,8 @@ func (c *Cluster) apply(d Demand, cand candidate) Placement {
 		if cand.inst != nil {
 			cand.inst.shares = append(cand.inst.shares, sh)
 		} else {
-			g.insts = append(g.insts, &instance{prof: cand.prof, start: cand.start, shares: []*share{sh}})
-			sort.Slice(g.insts, func(i, j int) bool { return g.insts[i].start < g.insts[j].start })
+			at, _ := slices.BinarySearchFunc(g.insts, cand.start, func(in *instance, start int) int { return in.start - start })
+			g.insts = slices.Insert(g.insts, at, &instance{prof: cand.prof, start: cand.start, shares: []*share{sh}})
 		}
 	case SegMPS:
 		g.mode = modeMPS
@@ -289,6 +296,7 @@ func (c *Cluster) Evict(tenant string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
 	g := c.gpuByID(pl.Segment.GPU)
+	g.fragOK = false
 	switch pl.Segment.Kind {
 	case SegMIG:
 		for i, in := range g.insts {
@@ -399,23 +407,30 @@ const FragGapBound = 0.5
 
 // Drift computes the rebalance comparison without applying anything.
 func (c *Cluster) Drift() RebalanceReport {
-	rep := RebalanceReport{Before: c.Fragmentation().Fleet}
+	rep, _ := c.drift()
+	return rep
+}
+
+// drift is Drift that also returns the scratch cluster it solved (nil
+// when the solve was infeasible), so Rebalance can adopt it.
+func (c *Cluster) drift() (RebalanceReport, *Cluster) {
+	rep := RebalanceReport{Before: c.fleetFrag()}
 	scratch, err := c.scratchSolve()
 	if err != nil {
 		rep.ScratchInfeasible = true
-		return rep
+		return rep, nil
 	}
-	rep.Scratch = scratch.Fragmentation().Fleet
+	rep.Scratch = scratch.fleetFrag()
 	rep.Gap = rep.Before - rep.Scratch
 	rep.Equal = placementsEqual(c, scratch)
-	return rep
+	return rep, scratch
 }
 
 // Rebalance adopts the from-scratch solve when it is strictly less
 // fragmented than the churned state; otherwise the incremental state
 // stands. Either way the report carries the comparison.
 func (c *Cluster) Rebalance() RebalanceReport {
-	rep := c.Drift()
+	rep, scratch := c.drift()
 	if c.cRebalances != nil {
 		c.cRebalances.Inc()
 	}
@@ -423,11 +438,8 @@ func (c *Cluster) Rebalance() RebalanceReport {
 		c.event("rebalance", obs.String("applied", "false"), obs.Float("gap", rep.Gap))
 		return rep
 	}
-	scratch, err := c.scratchSolve()
-	if err != nil {
-		rep.ScratchInfeasible = true
-		return rep
-	}
+	// The adopted GPUs carry valid fragmentation caches: drift scored
+	// the scratch cluster.
 	for _, t := range c.order {
 		if c.byTenant[t].Segment != scratch.byTenant[t].Segment {
 			rep.Moved++

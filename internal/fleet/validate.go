@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/simgpu"
 )
@@ -20,7 +22,9 @@ import (
 //   - demand-met: every placed tenant's segment grants at least the
 //     demanded SMs and memory;
 //   - bookkeeping: byTenant, the arrival order, and the per-GPU share
-//     lists describe exactly the same tenant set.
+//     lists describe exactly the same tenant set;
+//   - cache coherence: every valid cached per-GPU fragmentation equals
+//     a fresh recompute, bit for bit.
 func (c *Cluster) Validate() error {
 	if err := c.inv.Validate(); err != nil {
 		return err
@@ -63,6 +67,11 @@ func (c *Cluster) Validate() error {
 func (c *Cluster) validateGPU(g *gpuState, seen map[string]Segment) error {
 	spec := g.gpu.Spec
 	id := g.gpu.ID
+	if g.fragOK {
+		if f := gpuFrag(g); math.Float64bits(f) != math.Float64bits(g.frag) {
+			return fmt.Errorf("fleet: %s cached fragmentation %v, recomputed %v", id, g.frag, f)
+		}
+	}
 	switch g.mode {
 	case modeEmpty:
 		if len(g.insts) != 0 || len(g.shares) != 0 {
@@ -92,7 +101,7 @@ func (c *Cluster) validateGPU(g *gpuState, seen map[string]Segment) error {
 }
 
 func (c *Cluster) validateMIG(g *gpuState, spec simgpu.DeviceSpec, id string, seen map[string]Segment) error {
-	occupied := make([]bool, spec.MIGSlices)
+	var occ uint8
 	memSl := 0
 	for _, in := range g.insts {
 		validStart := false
@@ -108,18 +117,17 @@ func (c *Cluster) validateMIG(g *gpuState, spec simgpu.DeviceSpec, id string, se
 		if in.start+in.prof.Slices > spec.MIGSlices {
 			return fmt.Errorf("fleet: %s instance %s at %d overruns the %d-slice device", id, in.prof.Name, in.start, spec.MIGSlices)
 		}
-		for s := in.start; s < in.start+in.prof.Slices; s++ {
-			if occupied[s] {
-				return fmt.Errorf("fleet: %s slice %d claimed by two instances", id, s)
-			}
-			occupied[s] = true
+		m := sliceMask(in.start, in.prof.Slices)
+		if clash := occ & m; clash != 0 {
+			return fmt.Errorf("fleet: %s slice %d claimed by two instances", id, bits.TrailingZeros8(clash))
 		}
+		occ |= m
 		memSl += in.prof.MemSlices
 		if len(in.shares) == 0 {
 			return fmt.Errorf("fleet: %s instance %s has no shares (should be destroyed)", id, in.prof.Name)
 		}
 		in := in
-		err := validateDomain(id, in.prof.Name, in.shares, in.sms(spec), in.prof.MemBytes, seen, func(sh *share) Segment {
+		err := validateDomain(id, in.prof.Name, in.shares, in.sms(&spec), in.prof.MemBytes, seen, func(sh *share) Segment {
 			return Segment{GPU: id, Kind: SegMIG, Profile: in.prof.Name, Start: in.start,
 				Percent: sh.pct, SMs: sh.sms, MemBytes: sh.mem}
 		})

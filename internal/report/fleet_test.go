@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -111,5 +112,26 @@ func TestFleetTelemetryHooks(t *testing.T) {
 		if len(db.List()) == 0 {
 			t.Errorf("cell %s store scraped no series", label)
 		}
+	}
+}
+
+// TestFleetGolden pins the fleet artifact across commits: the grid
+// `paperbench fleet -gpus80 16 -gpus40 16 -apps 24 -horizon 3m` renders
+// must match testdata/fleet_golden.txt byte for byte. Packer
+// optimisations must leave every placement, rebalance decision and
+// fragmentation value unchanged, so this file never needs regenerating
+// for a pure speed change.
+func TestFleetGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fleet_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	opts := FleetOptions{GPUs80: 16, GPUs40: 16, Apps: 24, Duration: 3 * time.Minute}
+	if err := Fleet(&b, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("fleet artifact differs from testdata/fleet_golden.txt:\n%s", firstDiff(want, b.Bytes()))
 	}
 }
