@@ -9,11 +9,12 @@
 # tooling both consume, and validates them with cmd/benchjson.
 # `make bench-diff` compares the committed records against freshly
 # regenerated ones via benchstat (skipped when benchstat is absent).
-# `make scale` runs a modest snapshot-vs-streaming throughput compare
-# of the sharded million-task scenario. `make fleet` runs the
-# fleet-scale placement artifact at a modest size and checks it stays
-# byte-identical across -parallel and -stream. `make autoscale` does
-# the same for the SLO-driven autoscaling artifact. `make attrib`
+# `make scale` runs the sharded million-task scenario at a modest size
+# and checks the retained span window stays a small fraction of the
+# span count. `make fleet` runs the fleet-scale placement artifact at a
+# modest size and checks it stays byte-identical across -parallel.
+# `make autoscale` does the same for the SLO-driven autoscaling
+# artifact. `make attrib`
 # smoke-tests the latency attribution pipeline end to end on the
 # Table 1 bursts. `make serve-smoke` boots the live observability
 # server on a scale run and curls its endpoints — the CI smoke for the
@@ -108,37 +109,44 @@ bench-diff: bench
 		echo "benchstat not installed; skipping bench-diff (compare with: go run ./cmd/benchjson text BENCH_devent.json)"; \
 	fi
 
-# Modest-size snapshot-vs-streaming throughput compare of the sharded
-# open-loop scenario (the full 10^6-task run is `paperbench scale`
-# with defaults).
+# Modest-size run of the sharded open-loop scenario (the full
+# 10^6-task run is `paperbench scale` with defaults): span collection
+# must keep its retained window under a tenth of the spans recorded.
 scale:
-	$(GO) run ./cmd/paperbench scale -tasks 50000 -shards 4 -compare
+	@set -e; \
+	$(GO) build -o /tmp/paperbench-scale ./cmd/paperbench; \
+	/tmp/paperbench-scale scale -tasks 50000 -shards 4 > /tmp/scale.txt; \
+	cat /tmp/scale.txt; \
+	awk '/^virtual: events=/ { for (i = 1; i <= NF; i++) { split($$i, kv, "="); v[kv[1]] = kv[2] } } \
+		END { if (v["spans"] == "" || v["retained_high_water"] * 10 >= v["spans"]) { \
+			print "scale: retained_high_water=" v["retained_high_water"] " not bounded by spans=" v["spans"]; exit 1 } \
+			print "scale: ok (retained_high_water=" v["retained_high_water"] " of spans=" v["spans"] ")" }' /tmp/scale.txt
 
 # Modest-size fleet-placement smoke: render the artifact twice — once
-# with defaults, once sequential + streaming — and require the outputs
+# with defaults, once sequential — and require the outputs
 # byte-identical (the artifact is purely virtual).
 fleet:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-fleet ./cmd/paperbench; \
 	/tmp/paperbench-fleet fleet -gpus80 16 -gpus40 16 -apps 24 -horizon 3m > /tmp/fleet.a.txt; \
-	/tmp/paperbench-fleet fleet -gpus80 16 -gpus40 16 -apps 24 -horizon 3m -parallel 1 -stream > /tmp/fleet.b.txt; \
+	/tmp/paperbench-fleet fleet -gpus80 16 -gpus40 16 -apps 24 -horizon 3m -parallel 1 > /tmp/fleet.b.txt; \
 	cmp /tmp/fleet.a.txt /tmp/fleet.b.txt; \
 	grep -q 'virtual: rebalances=' /tmp/fleet.a.txt; \
-	echo "fleet: ok (byte-identical across -parallel and -stream)"
+	echo "fleet: ok (byte-identical across -parallel)"
 
 # Modest-size autoscaling smoke: render the SLO-driven autoscaling
-# artifact twice — default vs sequential + streaming — and require the
-# outputs byte-identical, with all three verdict lines present.
+# artifact twice — default vs sequential — and require the outputs
+# byte-identical, with all three verdict lines present.
 autoscale:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-autoscale ./cmd/paperbench; \
 	/tmp/paperbench-autoscale autoscale -gpus 4 -horizon 40m > /tmp/autoscale.a.txt; \
-	/tmp/paperbench-autoscale autoscale -gpus 4 -horizon 40m -parallel 1 -stream > /tmp/autoscale.b.txt; \
+	/tmp/paperbench-autoscale autoscale -gpus 4 -horizon 40m -parallel 1 > /tmp/autoscale.b.txt; \
 	cmp /tmp/autoscale.a.txt /tmp/autoscale.b.txt; \
 	grep -q 'virtual: verdict cost' /tmp/autoscale.a.txt; \
 	grep -q 'virtual: verdict attainment' /tmp/autoscale.a.txt; \
 	grep -q 'virtual: verdict cold-starts' /tmp/autoscale.a.txt; \
-	echo "autoscale: ok (byte-identical across -parallel and -stream)"
+	echo "autoscale: ok (byte-identical across -parallel)"
 
 # End-to-end smoke of the live observability plane: boot small scale,
 # fleet, and autoscale runs each with -serve, poll /healthz until every
@@ -150,7 +158,7 @@ serve-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-smoke ./cmd/paperbench; \
 	$(GO) build -o /tmp/promlint-smoke ./cmd/promlint; \
-	/tmp/paperbench-smoke scale -tasks 20000 -shards 2 -stream -serve 127.0.0.1:9190 >/dev/null 2>&1 & \
+	/tmp/paperbench-smoke scale -tasks 20000 -shards 2 -serve 127.0.0.1:9190 >/dev/null 2>&1 & \
 	scale_pid=$$!; \
 	/tmp/paperbench-smoke fleet -gpus80 8 -gpus40 8 -apps 16 -horizon 2m -serve 127.0.0.1:9191 >/dev/null 2>&1 & \
 	fleet_pid=$$!; \

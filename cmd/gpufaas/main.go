@@ -15,10 +15,9 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -26,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -62,12 +62,15 @@ func main() {
 	case "repart":
 		err = runRepart(os.Args[2:])
 	case "tracediff":
-		err = runTraceDiff(os.Args[2:])
+		err = cli.TraceDiff("gpufaas", os.Args[2:], os.Stdout, os.Stderr)
 	default:
 		usage()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpufaas:", err)
+		if errors.Is(err, cli.ErrUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -150,12 +153,12 @@ func (a attribFlags) validate() (observe bool, err error) {
 }
 
 // write exports the requested attribution artifacts from one run's
-// collector.
-func (a attribFlags) write(c *obs.Collector) error {
-	if *a.attrib == "" && *a.flame == "" && *a.alerts == "" {
+// streamer (nil when validate reported no attribution output).
+func (a attribFlags) write(st *analyze.Streamer) error {
+	if st == nil {
 		return nil
 	}
-	rep := analyze.Analyze(c)
+	rep := analyze.BuildReport(st)
 	if *a.attrib != "" {
 		if err := writeArtifact(*a.attrib, func(w *os.File) error {
 			return rep.WriteJSON(w)
@@ -172,7 +175,7 @@ func (a attribFlags) write(c *obs.Collector) error {
 	}
 	if *a.alerts != "" {
 		if err := writeArtifact(*a.alerts, func(w *os.File) error {
-			return analyze.WriteAlerts(w, c)
+			return analyze.WriteAlerts(w, st)
 		}); err != nil {
 			return err
 		}
@@ -180,52 +183,77 @@ func (a attribFlags) write(c *obs.Collector) error {
 	return nil
 }
 
-// runTraceDiff compares two attribution JSON artifacts written with
-// -attrib and prints the per-phase delta table.
-func runTraceDiff(args []string) error {
-	fs := flag.NewFlagSet("tracediff", flag.ExitOnError)
-	aPath := fs.String("a", "", "baseline attribution JSON")
-	bPath := fs.String("b", "", "comparison attribution JSON")
-	outPath := fs.String("o", "", "also write the machine-readable diff JSON here")
-	labelA := fs.String("label-a", "", "label for run A (default: the -a path)")
-	labelB := fs.String("label-b", "", "label for run B (default: the -b path)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *aPath == "" || *bPath == "" {
-		return fmt.Errorf("tracediff needs -a and -b attribution JSON files")
-	}
-	if *labelA == "" {
-		*labelA = *aPath
-	}
-	if *labelB == "" {
-		*labelB = *bPath
-	}
-	read := func(path string) (*analyze.Report, error) {
-		f, err := os.Open(path)
+// spanExports are the span consumers of one multiplex or repart run,
+// attached to its collector before the first span: the -trace artifact
+// (one section written straight into its file), the live span tail,
+// and the attribution streamer.
+type spanExports struct {
+	traceFile *os.File
+	trace     *obs.TraceStream
+	section   *obs.TraceSection
+	tail      *live.SpanTail
+	sample    int
+	attrib    bool
+	streamer  *analyze.Streamer
+}
+
+// newSpanExports creates the -trace file when tracePath is set.
+func newSpanExports(tracePath string, tail *live.SpanTail, sample int, attrib bool) (*spanExports, error) {
+	e := &spanExports{tail: tail, sample: sample, attrib: attrib}
+	if tracePath != "" {
+		f, err := os.Create(tracePath)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		return analyze.ReadReport(f)
+		e.traceFile = f
+		e.trace = obs.NewTraceStream(f)
 	}
-	a, err := read(*aPath)
-	if err != nil {
-		return err
+	return e, nil
+}
+
+// attach wires the exports onto the platform's collector; the trace
+// section is named by the collector's scope.
+func (e *spanExports) attach(pl *core.Platform) {
+	c := pl.Obs
+	var sinks []obs.SpanSink
+	if e.trace != nil {
+		e.section = e.trace.Section(c.Scope())
+		sinks = append(sinks, e.section)
 	}
-	b, err := read(*bPath)
-	if err != nil {
-		return err
+	if e.tail != nil {
+		sinks = append(sinks, e.tail)
 	}
-	d := analyze.Diff(a, b, *labelA, *labelB)
-	if *outPath != "" {
-		if err := writeArtifact(*outPath, func(w *os.File) error {
-			return d.WriteJSON(w)
-		}); err != nil {
-			return err
-		}
+	if len(sinks) > 0 {
+		c.SetSink(live.Tee(sinks...))
 	}
-	return d.WriteText(os.Stdout)
+	c.SetSampleMod(e.sample)
+	if e.attrib {
+		e.streamer = analyze.NewStreamer(c)
+	}
+}
+
+// finish flushes the collector's remaining spans (parked daemon
+// lifecycles included) into the sinks and completes the trace file.
+func (e *spanExports) finish(c *obs.Collector) error {
+	c.Close()
+	if e.trace == nil {
+		return nil
+	}
+	err := e.section.Err()
+	if cerr := e.trace.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := e.traceFile.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// abort closes the trace file of a run that failed.
+func (e *spanExports) abort() {
+	if e.traceFile != nil {
+		e.traceFile.Close()
+	}
 }
 
 func runMultiplex(args []string) error {
@@ -236,8 +264,7 @@ func runMultiplex(args []string) error {
 	tokens := fs.Int("tokens", 20, "output tokens per completion")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file for this run")
 	metricsOut := fs.String("metrics", "", "write Prometheus text metrics for this run")
-	stream := fs.Bool("stream", false, "stream the -trace spans to disk as they end (bounded memory; byte-identical output)")
-	sample := fs.Int("sample", 0, "with -stream, keep ~1/N of task trees in the trace")
+	sample := fs.Int("sample", 0, "keep ~1/N of task trees in the trace")
 	chaos := fs.String("chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
 	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address, e.g. 127.0.0.1:9190")
 	attrib := addAttribFlags(fs)
@@ -245,13 +272,6 @@ func runMultiplex(args []string) error {
 		return err
 	}
 	attribObserve, err := attrib.validate()
-	if err != nil {
-		return err
-	}
-	if *stream && attribObserve {
-		return fmt.Errorf("-stream is incompatible with -attrib/-flame/-alerts here; use paperbench -stream for streamed attribution")
-	}
-	srv, err := startServe(*serveAddr)
 	if err != nil {
 		return err
 	}
@@ -263,48 +283,6 @@ func runMultiplex(args []string) error {
 		Observe:      *traceOut != "" || *metricsOut != "" || attribObserve,
 		SLO:          *attrib.slo,
 	}
-	// -serve: attach the run's series store and, when no snapshot
-	// export needs the retained spans (or the trace already streams),
-	// a live span tail.
-	var tail *live.SpanTail
-	if srv != nil {
-		scope := fmt.Sprintf("multiplex/%s/p%d", cfg.Mode, cfg.Processes)
-		streamedTrace := *stream && *traceOut != ""
-		if streamedTrace || (*traceOut == "" && !attribObserve) {
-			tail = srv.Tail(scope, 0)
-		}
-		cfg.TSDB = &tsdb.Config{}
-		cfg.OnPlatform = func(pl *core.Platform) {
-			srv.AttachDB(scope, pl.TSDB)
-		}
-	}
-	// Streaming trace: the section renders to the file as spans end;
-	// only the envelope is added afterwards via the stream splice.
-	var streamFile *os.File
-	var streamBuf *bufio.Writer
-	var streamSec *obs.TraceSection
-	if *stream && *traceOut != "" {
-		f, err := os.CreateTemp("", "gpufaas-*.trace")
-		if err != nil {
-			return err
-		}
-		defer func() { f.Close(); os.Remove(f.Name()) }()
-		streamFile = f
-		streamBuf = bufio.NewWriterSize(f, 1<<20)
-		cfg.OnCollector = func(c *obs.Collector) {
-			streamSec = obs.NewTraceSection(streamBuf, 1, fmt.Sprintf("multiplex/%s/p%d", cfg.Mode, cfg.Processes))
-			if tail != nil {
-				c.SetSink(live.Tee(streamSec, tail))
-			} else {
-				c.SetSink(streamSec)
-			}
-			if *sample > 1 {
-				c.SetSampleMod(*sample)
-			}
-		}
-	} else if tail != nil {
-		cfg.OnCollector = func(c *obs.Collector) { c.SetSink(tail) }
-	}
 	if *chaos != "" {
 		spec, err := fault.ParseSpec(*chaos)
 		if err != nil {
@@ -312,39 +290,32 @@ func runMultiplex(args []string) error {
 		}
 		cfg.Chaos = &spec
 	}
-	r, err := core.RunMultiplex(cfg)
+	srv, err := startServe(*serveAddr)
 	if err != nil {
 		return err
 	}
-	if tail != nil && streamSec == nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
+	// -serve: the run's series store and a live span tail.
+	var tail *live.SpanTail
+	scope := fmt.Sprintf("multiplex/%s/p%d", cfg.Mode, cfg.Processes)
+	if srv != nil {
+		tail = srv.Tail(scope, 0)
+		cfg.TSDB = &tsdb.Config{}
 	}
-	if *traceOut != "" {
-		if streamSec != nil {
-			r.Obs.Close() // flush parked daemon spans into the section
-			if err := streamSec.Err(); err != nil {
-				return err
-			}
-			if err := streamBuf.Flush(); err != nil {
-				return err
-			}
-			if err := writeArtifact(*traceOut, func(w *os.File) error {
-				if _, err := streamFile.Seek(0, io.SeekStart); err != nil {
-					return err
-				}
-				ts := obs.NewTraceStream(w)
-				if err := ts.Append(bufio.NewReaderSize(streamFile, 1<<20)); err != nil {
-					return err
-				}
-				return ts.Close()
-			}); err != nil {
-				return err
-			}
-		} else if err := writeArtifact(*traceOut, func(w *os.File) error {
-			return obs.WriteChromeTrace(w, r.Obs)
-		}); err != nil {
-			return err
-		}
+	exports, err := newSpanExports(*traceOut, tail, *sample, attribObserve)
+	if err != nil {
+		return err
+	}
+	cfg.OnPlatform = func(pl *core.Platform) {
+		srv.AttachDB(scope, pl.TSDB)
+		exports.attach(pl)
+	}
+	r, err := core.RunMultiplex(cfg)
+	if err != nil {
+		exports.abort()
+		return err
+	}
+	if err := exports.finish(r.Obs); err != nil {
+		return err
 	}
 	if *metricsOut != "" {
 		if err := writeArtifact(*metricsOut, func(w *os.File) error {
@@ -353,11 +324,8 @@ func runMultiplex(args []string) error {
 			return err
 		}
 	}
-	if attribObserve {
-		r.Obs.SetScope(fmt.Sprintf("multiplex/%s/p%d", r.Mode, r.Processes))
-		if err := attrib.write(r.Obs); err != nil {
-			return err
-		}
+	if err := attrib.write(exports.streamer); err != nil {
+		return err
 	}
 	fmt.Printf("mode=%s procs=%d completions=%d\n", r.Mode, r.Processes, r.Completions)
 	fmt.Printf("  preload (cold start, excluded): %.2fs\n", r.PreloadTime.Seconds())
@@ -469,34 +437,29 @@ func runRepart(args []string) error {
 		}
 		cfg.Repart = &spec
 	}
-	// -serve: the platform hook attaches the run's series store under
-	// the scope RunPhaseShift sets; the live span tail attaches only
-	// when no snapshot export needs the retained spans.
-	var tail *live.SpanTail
+	// -serve: the platform hook attaches the run's series store and a
+	// live span tail under the scope RunPhaseShift sets.
 	if srv != nil {
 		cfg.TSDB = &tsdb.Config{}
-		wantTail := *traceOut == "" && !attribObserve
-		cfg.OnPlatform = func(pl *core.Platform) {
-			srv.AttachDB(pl.Obs.Scope(), pl.TSDB)
-			if wantTail {
-				tail = srv.Tail(pl.Obs.Scope(), 0)
-				pl.Obs.SetSink(tail)
-			}
-		}
 	}
-	r, err := core.RunPhaseShift(cfg)
+	exports, err := newSpanExports(*traceOut, nil, 0, attribObserve)
 	if err != nil {
 		return err
 	}
-	if tail != nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
-	}
-	if *traceOut != "" {
-		if err := writeArtifact(*traceOut, func(w *os.File) error {
-			return obs.WriteChromeTrace(w, r.Obs)
-		}); err != nil {
-			return err
+	cfg.OnPlatform = func(pl *core.Platform) {
+		if srv != nil {
+			srv.AttachDB(pl.Obs.Scope(), pl.TSDB)
+			exports.tail = srv.Tail(pl.Obs.Scope(), 0)
 		}
+		exports.attach(pl)
+	}
+	r, err := core.RunPhaseShift(cfg)
+	if err != nil {
+		exports.abort()
+		return err
+	}
+	if err := exports.finish(r.Obs); err != nil {
+		return err
 	}
 	if *metricsOut != "" {
 		if err := writeArtifact(*metricsOut, func(w *os.File) error {
@@ -511,7 +474,7 @@ func runRepart(args []string) error {
 			scope = "repart/controller"
 		}
 		r.Obs.SetScope(scope)
-		if err := attrib.write(r.Obs); err != nil {
+		if err := attrib.write(exports.streamer); err != nil {
 			return err
 		}
 	}

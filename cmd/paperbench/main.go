@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"runtime"
 	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/harness"
@@ -54,7 +56,7 @@ artifacts:
              Table 1 bursts plus the timeshare-vs-MPS trace diff
   scale      million-task throughput: sharded open-loop microtask run
              reporting events/sec, span counts, and retained-window
-             memory (see -tasks/-shards/-stream/-compare)
+             memory (see -tasks/-shards)
   fleet      fleet-scale placement: fragmentation-aware MIG+MPS
              packing of 50+ apps over a 128-GPU mixed inventory under
              seeded churn, across a 0.5x/1.0x/1.5x offered-load grid
@@ -106,20 +108,17 @@ flags:
                    alone: each cell's alert-rule history (resolved
                    incidents + still-active rules from the scenario's
                    default rule pack) renders to FILE, byte-identical
-                   at any -parallel level and under -stream
-  -stream          export -trace/-metrics/-attrib/-flame/-alerts (and
-                   the scale run) in streaming mode: spans flush to
-                   exporters as they end instead of being retained;
-                   artifacts are byte-identical to snapshot mode
-  -sample N        with -stream, deterministically keep ~1/N of task
-                   trees in the trace (metrics and attribution see
+                   at any -parallel level
+  -sample N        deterministically keep ~1/N of task trees in the
+                   -trace output (metrics and attribution see
                    everything regardless)
   -serve ADDR      serve live observability over HTTP on ADDR while
                    the run executes (e.g. -serve 127.0.0.1:9190):
                    /metrics, /api/series, /spans, /progress, /healthz,
                    /debug/pprof. The scale artifact additionally gets
-                   per-shard virtual-time series stores and live span
-                   tails (tails need -stream). The process keeps
+                   per-shard virtual-time series stores; the scale,
+                   fleet, and autoscale artifacts get live span tails
+                   per shard or cell. The process keeps
                    serving after the run completes — interrupt it to
                    exit. Without -serve nothing changes.
 
@@ -130,8 +129,6 @@ scale flags:
   -window N        in-flight submissions per shard (default 64)
   -arrival R       per-shard offered load, tasks/sec (default 8000)
   -seed N          arrival/service RNG seed (default 1)
-  -compare         run snapshot then streaming and report the
-                   events/sec and memory deltas
 
 fleet flags (-arrival and -seed apply here too):
   -gpus80 N        A100-80GB parts in the inventory (default 64)
@@ -151,8 +148,11 @@ func main() {
 	}
 	artifact := os.Args[1]
 	if artifact == "tracediff" {
-		if err := runTraceDiff("paperbench", os.Args[2:]); err != nil {
+		if err := cli.TraceDiff("paperbench", os.Args[2:], os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: tracediff:", err)
+			if errors.Is(err, cli.ErrUsage) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		return
@@ -169,15 +169,13 @@ func main() {
 	flameOut := fs.String("flame", "", "write folded flamegraph stacks from an instrumented rerun")
 	sloSpec := fs.String("slo", "", "SLO burn-rate rules for instrumented reruns, e.g. app:12s:0.9")
 	alertsOut := fs.String("alerts", "", "write the SLO alert stream (requires -slo)")
-	stream := fs.Bool("stream", false, "export instrumented artifacts in streaming mode")
-	sample := fs.Int("sample", 0, "with -stream, keep ~1/N of task trees in the trace")
+	sample := fs.Int("sample", 0, "keep ~1/N of task trees in the trace")
 	tasks := fs.Int("tasks", 0, "scale: total tasks (default 1000000)")
 	shards := fs.Int("shards", 0, "scale: independent platform shards (default 8)")
 	workers := fs.Int("workers", 0, "scale: CPU workers per shard (default 16)")
 	window := fs.Int("window", 0, "scale: in-flight submissions per shard (default 64)")
 	arrival := fs.Float64("arrival", 0, "scale: per-shard offered load in tasks/sec (default 8000)")
 	seed := fs.Int64("seed", 0, "scale/fleet: RNG seed (default 1)")
-	compare := fs.Bool("compare", false, "scale: run snapshot then streaming and report deltas")
 	gpus80 := fs.Int("gpus80", 0, "fleet: A100-80GB parts (default 64)")
 	gpus40 := fs.Int("gpus40", 0, "fleet: A100-40GB parts (default 64)")
 	apps := fs.Int("apps", 0, "fleet: distinct applications (default 56)")
@@ -277,12 +275,11 @@ func main() {
 		opts := report.ScaleOptions{
 			Tasks: *tasks, Shards: *shards, Workers: *workers, Window: *window,
 			ArrivalRate: *arrival, Seed: *seed, SampleMod: *sample,
-			Stream: *stream, Compare: *compare, TracePath: *traceOut,
-			Alerts: scenarioAlerts,
+			TracePath: *traceOut, Alerts: scenarioAlerts,
 		}
 		if srv != nil {
-			// Per-shard series stores, batched progress, and (with
-			// -stream) a live span tail teed into each shard's sink.
+			// Per-shard series stores, batched progress, and a live span
+			// tail teed into each shard's sink.
 			srv.Progress().SetShards(core.ScaleConfig{Tasks: *tasks, Shards: *shards}.WithDefaults().Shards)
 			opts.Telemetry = &core.ScaleTelemetry{
 				TSDB: &tsdb.Config{},
@@ -300,43 +297,37 @@ func main() {
 		opts := report.FleetOptions{
 			GPUs80: *gpus80, GPUs40: *gpus40, Apps: *apps,
 			Duration: *horizon, ArrivalRate: *arrival, Seed: *seed,
-			Stream: *stream, Alerts: scenarioAlerts,
+			Alerts: scenarioAlerts,
 		}
 		if srv != nil {
-			// One series store per load cell; with -stream a live span
-			// tail tees into each cell's sink.
+			// One series store and one live span tail per load cell.
 			opts.Telemetry = &report.FleetTelemetry{
 				TSDB: &tsdb.Config{},
 				OnCellDB: func(load string, db *tsdb.DB) {
 					srv.AttachDB("fleet/"+load, db)
 				},
 			}
-			if *stream {
-				opts.WrapSink = func(load string, base obs.SpanSink) obs.SpanSink {
-					return live.Tee(base, srv.Tail("fleet/"+load, 0))
-				}
+			opts.WrapSink = func(load string, base obs.SpanSink) obs.SpanSink {
+				return live.Tee(base, srv.Tail("fleet/"+load, 0))
 			}
 		}
 		err = report.Fleet(w, opts)
 	case "autoscale":
 		opts := report.AutoscaleOptions{
 			GPUs: *gpus, Horizon: *horizon, Seed: *seed,
-			Stream: *stream, Alerts: scenarioAlerts,
+			Alerts: scenarioAlerts,
 		}
 		if srv != nil {
-			// One series store per cell (autoscaled and the static
-			// baselines); with -stream a live span tail tees into each
-			// cell's sink.
+			// One series store and one live span tail per cell
+			// (autoscaled and the static baselines).
 			opts.Telemetry = &report.FleetTelemetry{
 				TSDB: &tsdb.Config{},
 				OnCellDB: func(cell string, db *tsdb.DB) {
 					srv.AttachDB("autoscale/"+cell, db)
 				},
 			}
-			if *stream {
-				opts.WrapSink = func(cell string, base obs.SpanSink) obs.SpanSink {
-					return live.Tee(base, srv.Tail("autoscale/"+cell, 0))
-				}
+			opts.WrapSink = func(cell string, base obs.SpanSink) obs.SpanSink {
+				return live.Tee(base, srv.Tail("autoscale/"+cell, 0))
 			}
 		}
 		err = report.Autoscale(w, opts)
@@ -351,10 +342,10 @@ func main() {
 	// The scale and fleet artifacts run their own span streams; the
 	// generic instrumented rerun applies to everything else.
 	if err == nil && artifact != "scale" && artifact != "fleet" && artifact != "autoscale" && (*traceOut != "" || *metricsOut != "") {
-		err = writeObservability(*traceOut, *metricsOut, *completions, *stream, *sample)
+		err = writeObservability(*traceOut, *metricsOut, *completions, *sample)
 	}
 	if err == nil && artifact != "scale" && artifact != "fleet" && artifact != "autoscale" && (*attribOut != "" || *flameOut != "" || *alertsOut != "") {
-		err = writeAttribution(*attribOut, *flameOut, *alertsOut, *sloSpec, *completions, *stream)
+		err = writeAttribution(*attribOut, *flameOut, *alertsOut, *sloSpec, *completions)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
@@ -372,65 +363,9 @@ func main() {
 	}
 }
 
-// runTraceDiff implements the tracediff mode: compare two attribution
-// JSON artifacts (written with -attrib) phase by phase.
-func runTraceDiff(prog string, args []string) error {
-	fs := flag.NewFlagSet("tracediff", flag.ExitOnError)
-	aPath := fs.String("a", "", "baseline attribution JSON (written with -attrib)")
-	bPath := fs.String("b", "", "comparison attribution JSON (written with -attrib)")
-	outPath := fs.String("o", "", "also write the machine-readable diff as JSON to this file")
-	labelA := fs.String("label-a", "", "label for run A (default: the -a path)")
-	labelB := fs.String("label-b", "", "label for run B (default: the -b path)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s tracediff -a A.json -b B.json [-o out.json] [-label-a NAME] [-label-b NAME]\n", prog)
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if *aPath == "" || *bPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *labelA == "" {
-		*labelA = *aPath
-	}
-	if *labelB == "" {
-		*labelB = *bPath
-	}
-	readReport := func(path string) (*analyze.Report, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return analyze.ReadReport(f)
-	}
-	a, err := readReport(*aPath)
-	if err != nil {
-		return err
-	}
-	b, err := readReport(*bPath)
-	if err != nil {
-		return err
-	}
-	d := analyze.Diff(a, b, *labelA, *labelB)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := d.WriteJSON(f); err != nil {
-			return err
-		}
-	}
-	return d.WriteText(os.Stdout)
-}
-
 // writeAttribution reruns the instrumented grid once and writes the
 // requested attribution artifacts. Any path may be empty.
-func writeAttribution(attribPath, flamePath, alertsPath, slo string, completions int, stream bool) error {
+func writeAttribution(attribPath, flamePath, alertsPath, slo string, completions int) error {
 	open := func(path string) (io.Writer, func(), error) {
 		if path == "" {
 			return nil, func() {}, nil
@@ -456,15 +391,12 @@ func writeAttribution(attribPath, flamePath, alertsPath, slo string, completions
 		return err
 	}
 	defer closeAl()
-	if stream {
-		return report.AttributionArtifactsStreamed(attribW, flameW, alertsW, completions, slo)
-	}
 	return report.AttributionArtifacts(attribW, flameW, alertsW, completions, slo)
 }
 
 // writeObservability reruns the instrumented grid once and writes the
 // requested artifacts. Either path may be empty.
-func writeObservability(tracePath, metricsPath string, completions int, stream bool, sample int) error {
+func writeObservability(tracePath, metricsPath string, completions, sample int) error {
 	var traceW, promW io.Writer
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -482,8 +414,5 @@ func writeObservability(tracePath, metricsPath string, completions int, stream b
 		defer f.Close()
 		promW = f
 	}
-	if stream {
-		return report.ObservabilityStreamed(traceW, promW, completions, sample)
-	}
-	return report.Observability(traceW, promW, completions)
+	return report.Observability(traceW, promW, completions, sample)
 }

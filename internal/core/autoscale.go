@@ -218,7 +218,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		_, err = ctx.Run(inv.Proc(), kernel)
 		return nil, err
 	}})
-	analyze.NewMonitorTSDB(col, env, []analyze.Rule{
+	analyze.NewMonitor(col, env, []analyze.Rule{
 		{App: "infer", Latency: cfg.SLOLatency, Target: cfg.SLOTarget, Window: cfg.SLOWindow},
 	}, db)
 	attachAlerts(db, AutoscaleAlertRules(cfg))

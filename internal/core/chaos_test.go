@@ -92,15 +92,23 @@ func TestChaosDeterminism(t *testing.T) {
 	render := func(workers int) []byte {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
+		sections := make([]bytes.Buffer, runs)
 		results, err := harness.Map(runs, func(i int) (*MultiplexResult, error) {
 			spec := chaosSpecFor(i + 1)
-			return RunMultiplex(MultiplexConfig{
+			res, err := RunMultiplex(MultiplexConfig{
 				Mode:        ModeMPS,
 				Processes:   4,
 				Completions: 16,
 				Observe:     true,
 				Chaos:       &spec,
+				OnCollector: func(c *obs.Collector) {
+					c.SetSink(obs.NewTraceSection(&sections[i], 1, fmt.Sprintf("run%d", i)))
+				},
 			})
+			if err == nil {
+				res.Obs.Close()
+			}
+			return res, err
 		})
 		if err != nil {
 			t.Fatalf("chaos run with %d workers: %v", workers, err)
@@ -109,7 +117,11 @@ func TestChaosDeterminism(t *testing.T) {
 		for i, res := range results {
 			fmt.Fprintf(&b, "# run %d: faults=%d failed=%d makespan=%s\n",
 				i, res.Faults, res.Failed, res.Makespan)
-			if err := obs.WriteChromeTrace(&b, res.Obs); err != nil {
+			ts := obs.NewTraceStream(&b)
+			if err := ts.Append(&sections[i]); err != nil {
+				t.Fatalf("trace export: %v", err)
+			}
+			if err := ts.Close(); err != nil {
 				t.Fatalf("trace export: %v", err)
 			}
 			if err := obs.WritePrometheus(&b, res.Obs); err != nil {

@@ -71,8 +71,8 @@ type MultiplexConfig struct {
 	// SLO, when non-empty, attaches the burn-rate monitor (see
 	// Options.SLO for the spec format).
 	SLO string
-	// OnCollector is forwarded to Options.OnCollector: streaming
-	// exporters hook the run's collector before any span exists.
+	// OnCollector is forwarded to Options.OnCollector: exporters hook
+	// the run's collector before any span exists.
 	OnCollector func(*obs.Collector)
 	// TSDB forwards to Options.TSDB: attach a virtual-time series
 	// store scraping the run's registry (nil = off).

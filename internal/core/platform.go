@@ -66,19 +66,19 @@ type Options struct {
 	// instrument at the configured interval while the run executes,
 	// Run takes a final scrape after the queue drains, and the handle
 	// lands in Platform.TSDB for windowed queries and the live HTTP
-	// plane. With SLO also set, the burn-rate monitor computes its
-	// windows from tsdb event series (identical alert stream, plus a
-	// queryable slo:burn signal). Nil keeps the seed behavior exactly.
+	// plane. With SLO also set, the burn-rate monitor keeps its windows
+	// in this store (otherwise in a private one), so the slo:burn signal
+	// is queryable. Nil keeps the seed behavior exactly.
 	TSDB *tsdb.Config
 	// NoHistory disables whole-run retrospection so memory stays
 	// bounded by in-flight work instead of run length: the DFK drops
 	// completed task records, no Gantt trace bridge is installed, and
-	// the monitoring DB is not attached. The span stream is unaffected —
-	// pair with a streaming sink (Obs.SetSink) for bounded-memory
+	// the monitoring DB is not attached. Spans already stream out of
+	// memory as they end, so NoHistory runs are bounded-memory
 	// million-task runs.
 	NoHistory bool
 	// OnCollector, when set, is called with the platform's collector
-	// during assembly, before any span exists. Streaming exporters use
+	// during assembly, before any span exists. Exporters use
 	// it to attach sinks, samplers, and incremental analyzers that must
 	// see the stream from the first span.
 	OnCollector func(*obs.Collector)
@@ -242,7 +242,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl.SLOMon = analyze.NewMonitorTSDB(collector, env, rules, pl.TSDB)
+		pl.SLOMon = analyze.NewMonitor(collector, env, rules, pl.TSDB)
 	}
 	if o.Chaos != nil {
 		inj := fault.New(env, *o.Chaos, collector)

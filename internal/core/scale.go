@@ -21,9 +21,8 @@ import (
 // harness runs them concurrently while every virtual quantity —
 // makespans, latencies, span and event counts — is independent of the
 // worker count. The scenario exists to stress the span-collection
-// path at 10^6 tasks / 10^7 events: in snapshot mode the collector
-// retains every span, in streaming mode (per-shard Sinks) the
-// retained window stays bounded.
+// path at 10^6 tasks / 10^7 events while the retained span window
+// stays bounded.
 type ScaleConfig struct {
 	// Tasks is the total task count across all shards (default 1e6).
 	Tasks int
@@ -50,12 +49,12 @@ type ScaleConfig struct {
 	Seed int64
 	// SampleMod, when > 1, enables deterministic span sampling on each
 	// shard's collector: roughly 1/SampleMod of task trees reach the
-	// sink. Only meaningful with Sinks.
+	// sink.
 	SampleMod int
 	// Sinks, when non-nil, must hold one SpanSink per shard; each
-	// shard's collector streams its spans to its sink, so collection
-	// memory is bounded by the retained window instead of the span
-	// count. Nil keeps snapshot collection.
+	// shard's collector streams its spans to its sink. Nil discards
+	// them; collection memory is bounded by the retained window either
+	// way.
 	Sinks []obs.SpanSink
 	// Telemetry, when non-nil, attaches the live observability plane:
 	// per-shard tsdb stores and wall-side progress callbacks. Nil
@@ -124,8 +123,7 @@ type ShardScaleResult struct {
 	// Spans is the total span count the collector assigned IDs to.
 	Spans int
 	// MaxRetained is the collector's retained-window high-water mark —
-	// the bounded-memory claim is MaxRetained << Spans in streaming
-	// mode.
+	// the bounded-memory claim is MaxRetained << Spans.
 	MaxRetained int
 	// Makespan is the shard's virtual time at drain.
 	Makespan time.Duration
@@ -198,7 +196,7 @@ type shardScaleOut struct {
 }
 
 // runScaleShard drives one shard: a fresh NoHistory platform with a
-// CPU-only executor, optionally streaming its spans to sink.
+// CPU-only executor, streaming its spans to sink (nil discards them).
 func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardScaleOut, error) {
 	sr := shardScaleOut{ShardScaleResult: ShardScaleResult{Shard: shard, Tasks: tasks}}
 	var tel ScaleTelemetry
@@ -224,12 +222,8 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 		tel.Progress.ShardStarted(shard)
 		defer tel.Progress.ShardFinished(shard)
 	}
-	if sink != nil {
-		pl.Obs.SetSink(sink)
-		if cfg.SampleMod > 1 {
-			pl.Obs.SetSampleMod(cfg.SampleMod)
-		}
-	}
+	pl.Obs.SetSink(sink)
+	pl.Obs.SetSampleMod(cfg.SampleMod)
 	pl.Obs.SetScope(fmt.Sprintf("scale/shard%d", shard))
 	pl.Register(faas.App{Name: "micro", Executor: "cpu", Fn: func(inv *faas.Invocation) (any, error) {
 		d, _ := inv.Arg(0).(time.Duration)
@@ -285,11 +279,9 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 	if runErr != nil {
 		return sr, runErr
 	}
-	if sink != nil {
-		// Flush the tail of the stream — parked worker daemons and any
-		// still-open spans, clamped — so a spilled trace is complete.
-		pl.Obs.Close()
-	}
+	// Flush the tail of the stream — parked worker daemons and any
+	// still-open spans, clamped — so a spilled trace is complete.
+	pl.Obs.Close()
 	sr.Events = pl.Env.EventsDispatched()
 	sr.Spans = pl.Obs.Len()
 	sr.MaxRetained = pl.Obs.MaxRetained()

@@ -52,23 +52,18 @@ var table1Software = map[Mode]string{
 // RunTable1 measures every technique under a common 4-tenant LLaMa
 // burst plus isolation and reconfiguration micro-benchmarks.
 func RunTable1() ([]Table1Row, error) {
-	rows, _, err := RunTable1Observed(false, "")
+	rows, _, err := RunTable1ObservedHook(false, "", nil)
 	return rows, err
 }
 
-// RunTable1Observed is RunTable1 with optional deep instrumentation;
-// it additionally returns each burst's collector, one per row in the
-// paper's row order. A non-empty slo spec (see Options.SLO) attaches
-// the burn-rate monitor to every burst.
-func RunTable1Observed(observe bool, slo string) ([]Table1Row, []*obs.Collector, error) {
-	return RunTable1ObservedHook(observe, slo, nil)
-}
-
-// RunTable1ObservedHook is RunTable1Observed with a per-burst collector
-// hook: onCollector (when non-nil) is called with the row index and the
-// burst's collector before the burst runs, so streaming exporters can
-// attach sinks from the first span. Isolation-probe collectors are not
-// exported and never hooked.
+// RunTable1ObservedHook is RunTable1 with optional deep
+// instrumentation; it additionally returns each burst's collector, one
+// per row in the paper's row order. A non-empty slo spec (see
+// Options.SLO) attaches the burn-rate monitor to every burst.
+// onCollector (when non-nil) is called with the row index and the
+// burst's collector before the burst runs, so exporters can attach
+// sinks and listeners from the first span. Isolation-probe collectors
+// are not exported and never hooked.
 func RunTable1ObservedHook(observe bool, slo string, onCollector func(i int, c *obs.Collector)) ([]Table1Row, []*obs.Collector, error) {
 	reconfigs, err := RunReconfig(2 * time.Second)
 	if err != nil {

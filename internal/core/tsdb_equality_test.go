@@ -10,49 +10,59 @@ import (
 	"repro/internal/obs/tsdb"
 )
 
-// alerts renders a run collector's SLO alert stream.
-func alerts(t *testing.T, c *obs.Collector) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := analyze.WriteAlerts(&buf, c); err != nil {
-		t.Fatalf("WriteAlerts: %v", err)
+// alertStream attaches an alert streamer to a platform's collector;
+// the returned func renders the SLO alert stream after the run.
+func alertStream(t *testing.T) (attach func(*Platform), render func() []byte) {
+	var st *analyze.Streamer
+	return func(pl *Platform) { st = analyze.NewStreamer(pl.Obs) }, func() []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := analyze.WriteAlerts(&buf, st); err != nil {
+			t.Fatalf("WriteAlerts: %v", err)
+		}
+		return buf.Bytes()
 	}
-	return buf.Bytes()
 }
 
 // TestMultiplexTSDBAlertEquality runs one Table-1 cell with the SLO
-// monitor in classic mode and again with the tsdb-backed burn windows
-// (plus the scrape daemon running), and requires the identical alert
-// stream — the acceptance gate that moving burn computation onto tsdb
+// monitor's windows in a private store and again in the platform's
+// scraped store (plus the scrape daemon running), and requires the
+// identical alert stream — sharing the store with the scrape daemon
 // changes no observable behavior.
 func TestMultiplexTSDBAlertEquality(t *testing.T) {
 	const slo = "llama-complete:2s:0.9"
 	run := func(db *tsdb.Config) (*MultiplexResult, []byte) {
+		attach, alerts := alertStream(t)
 		res, err := RunMultiplex(MultiplexConfig{
 			Mode: ModeTimeshare, Processes: 4, Completions: 8, SLO: slo, TSDB: db,
+			OnPlatform: attach,
 		})
 		if err != nil {
 			t.Fatalf("RunMultiplex(tsdb=%v): %v", db != nil, err)
 		}
-		return res, alerts(t, res.Obs)
+		return res, alerts()
 	}
 	base, baseAlerts := run(nil)
 	if len(baseAlerts) == 0 {
 		t.Fatal("baseline produced no alerts — the SLO spec must fire for this test to mean anything")
 	}
 	var gotDB *tsdb.DB
+	attach, alerts := alertStream(t)
 	cfg := MultiplexConfig{
 		Mode: ModeTimeshare, Processes: 4, Completions: 8, SLO: slo,
-		TSDB:       &tsdb.Config{Interval: time.Second},
-		OnPlatform: func(pl *Platform) { gotDB = pl.TSDB },
+		TSDB: &tsdb.Config{Interval: time.Second},
+		OnPlatform: func(pl *Platform) {
+			gotDB = pl.TSDB
+			attach(pl)
+		},
 	}
 	res, err := RunMultiplex(cfg)
 	if err != nil {
 		t.Fatalf("RunMultiplex tsdb: %v", err)
 	}
-	dbAlerts := alerts(t, res.Obs)
+	dbAlerts := alerts()
 	if !bytes.Equal(baseAlerts, dbAlerts) {
-		t.Fatalf("alert streams differ:\nclassic:\n%s\ntsdb:\n%s", baseAlerts, dbAlerts)
+		t.Fatalf("alert streams differ:\nprivate store:\n%s\nscraped store:\n%s", baseAlerts, dbAlerts)
 	}
 	// The scrape daemon must not perturb the simulation itself.
 	if res.Makespan != base.Makespan {
@@ -76,22 +86,24 @@ func TestMultiplexTSDBAlertEquality(t *testing.T) {
 
 // TestPhaseShiftTSDBAlertEquality is the same gate on the phase-shift
 // scenario: bursty two-tenant load, retries riding through backoff —
-// the alert stream with tsdb-backed windows must match the classic
-// monitor byte for byte.
+// the alert stream with windows in the scraped store must match the
+// private-store monitor byte for byte.
 func TestPhaseShiftTSDBAlertEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full phase-shift runs in -short mode")
 	}
 	const slo = "svc-a:3s:0.9:30s,svc-b:3s:0.9:30s"
 	run := func(db *tsdb.Config) []byte {
-		res, err := RunPhaseShift(PhaseShiftConfig{
+		attach, alerts := alertStream(t)
+		_, err := RunPhaseShift(PhaseShiftConfig{
 			Mode: ModeMPS, HeavyCompletions: 12, LightCompletions: 3,
 			PhaseAt: 30 * time.Second, SLO: slo, TSDB: db,
+			OnPlatform: attach,
 		})
 		if err != nil {
 			t.Fatalf("RunPhaseShift(tsdb=%v): %v", db != nil, err)
 		}
-		return alerts(t, res.Obs)
+		return alerts()
 	}
 	base := run(nil)
 	if len(base) == 0 {
@@ -99,6 +111,6 @@ func TestPhaseShiftTSDBAlertEquality(t *testing.T) {
 	}
 	got := run(&tsdb.Config{Interval: 500 * time.Millisecond})
 	if !bytes.Equal(base, got) {
-		t.Fatalf("alert streams differ:\nclassic:\n%s\ntsdb:\n%s", base, got)
+		t.Fatalf("alert streams differ:\nprivate store:\n%s\nscraped store:\n%s", base, got)
 	}
 }

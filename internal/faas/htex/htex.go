@@ -405,7 +405,7 @@ func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
 		obs.String("accelerator", w.binding.Accelerator),
 		obs.Int("gpu_pct", w.binding.GPUPercent))
 	// Daemon lifecycle: stays open until drain, so pin it out of the
-	// streaming flush frontier (it would otherwise block every span
+	// collector's flush frontier (it would otherwise block every span
 	// recorded after it for the whole run).
 	h.obs.PinSpan(wspan)
 	h.gWorkers.Add(1)

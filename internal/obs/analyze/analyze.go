@@ -190,21 +190,6 @@ const (
 // is preserved.
 func blockedPrio(orig int) int { return prioQueue + orig/10 }
 
-// Analyze decomposes every dfk task span found in the collectors and
-// aggregates blame profiles. Collector order is preserved, so output
-// is deterministic for a deterministic run.
-func Analyze(collectors ...*obs.Collector) *Report {
-	rep := &Report{}
-	for _, c := range collectors {
-		if c == nil {
-			continue
-		}
-		analyzeCollector(rep, c)
-	}
-	rep.buildGroups()
-	return rep
-}
-
 // analyzer holds one collector's span indexes during attribution.
 type analyzer struct {
 	children    map[obs.SpanID][]*obs.Span
@@ -212,23 +197,6 @@ type analyzer struct {
 	inits       []*obs.Span
 	runsByTrack map[string][]*obs.Span // htex run spans per worker track
 	runIvs      map[obs.SpanID][]interval
-}
-
-func analyzeCollector(rep *Report, c *obs.Collector) {
-	spans := c.Spans()
-	a := newAnalyzer()
-	var tasks []*obs.Span
-	for i := range spans {
-		if a.addEvidence(&spans[i]) {
-			tasks = append(tasks, &spans[i])
-		}
-	}
-	scope := c.Scope()
-	for _, t := range tasks {
-		ta := a.attributeTask(t)
-		ta.Scope = scope
-		rep.Tasks = append(rep.Tasks, ta)
-	}
 }
 
 func newAnalyzer() *analyzer {
@@ -241,10 +209,9 @@ func newAnalyzer() *analyzer {
 
 // addEvidence indexes one span into the analyzer's evidence structures
 // and reports whether it is a dfk task span (the attribution unit).
-// Shared by the snapshot path (which feeds a full Spans() snapshot in
-// ID order) and the Streamer (which feeds spans as they end, then
-// re-sorts the touched index lists by ID before attributing, so both
-// paths attribute over identically ordered evidence).
+// The Streamer feeds spans as they end, then re-sorts the touched
+// index lists by ID before attributing, so attribution always runs
+// over ID-ordered evidence whatever the completion order.
 func (a *analyzer) addEvidence(s *obs.Span) bool {
 	if s.Parent != 0 {
 		a.children[s.Parent] = append(a.children[s.Parent], s)

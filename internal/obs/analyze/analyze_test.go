@@ -16,8 +16,8 @@ func (c *tickClock) Now() time.Duration { return c.now }
 
 const ms = time.Millisecond
 
-// addTask records a synthetic dfk task span with the attrs Analyze
-// keys on and returns its ID for parenting child spans.
+// addTask records a synthetic, already-ended dfk task span with the
+// attrs attribution and the SLO monitor key on.
 func addTask(c *obs.Collector, id int, app, executor, status string, start, end time.Duration) obs.SpanID {
 	return c.AddSpan("dfk", "task", "task", 0, start, end,
 		obs.Int("task", id),
@@ -25,6 +25,52 @@ func addTask(c *obs.Collector, id int, app, executor, status string, start, end 
 		obs.String("executor", executor),
 		obs.String("status", status),
 	)
+}
+
+// recorder wraps a collector with an attached Streamer for synthetic
+// attribution tests. Tasks open at their start and are ended — in ID
+// order, after every other span — by report, so the Streamer has each
+// task's complete evidence when it attributes it, as in a live run.
+type recorder struct {
+	*obs.Collector
+	clk  *tickClock
+	st   *Streamer
+	ends []taskEnd
+}
+
+type taskEnd struct {
+	id     obs.SpanID
+	status string
+	end    time.Duration
+}
+
+func newRecorder(scope string) *recorder {
+	clk := &tickClock{}
+	c := obs.New(clk)
+	c.SetScope(scope)
+	return &recorder{Collector: c, clk: clk, st: NewStreamer(c)}
+}
+
+// task opens a dfk task span at start (ended at end by report) and
+// returns its ID for parenting child spans.
+func (r *recorder) task(id int, app, executor, status string, start, end time.Duration) obs.SpanID {
+	r.clk.now = start
+	sid := r.StartSpan("dfk", "task", "task", 0,
+		obs.Int("task", id),
+		obs.String("app", app),
+		obs.String("executor", executor),
+	)
+	r.ends = append(r.ends, taskEnd{sid, status, end})
+	return sid
+}
+
+// report ends the open tasks and builds the attribution report.
+func (r *recorder) report() *Report {
+	for _, e := range r.ends {
+		r.clk.now = e.end
+		r.EndSpan(e.id, obs.String("status", e.status))
+	}
+	return BuildReport(r.st)
 }
 
 func taskByID(t *testing.T, rep *Report, id int) *TaskAttribution {
@@ -53,14 +99,12 @@ func checkSum(t *testing.T, rep *Report) {
 // kind: queue wait overlapping worker init, a run span enclosing a
 // weight transfer, a plain transfer, and a kernel with dispatch delay.
 func TestAttributionFullPipeline(t *testing.T) {
-	clk := &tickClock{}
-	c := obs.New(clk)
-	c.SetScope("unit")
+	c := newRecorder("unit")
 
 	// Worker init window [0, 40ms) on worker w0.
 	c.AddSpan("htex", "init", "w0", 0, 0, 40*ms)
 
-	task := addTask(c, 7, "llama", "htex-gpu", "done", 10*ms, 200*ms)
+	task := c.task(7, "llama", "htex-gpu", "done", 10*ms, 200*ms)
 	// Queue [10, 60): the slice up to 40ms overlaps w0's init window.
 	q := c.AddSpan("htex", "queue", "task", task, 10*ms, 60*ms, obs.String("worker", "w0"))
 	_ = q
@@ -76,7 +120,7 @@ func TestAttributionFullPipeline(t *testing.T) {
 	// Kernel executed [140, 190) after 30ms of dispatch delay.
 	c.AddSpan("simgpu", "decode", "ctx", run, 140*ms, 190*ms, obs.Dur("queue_ns", 30*ms))
 
-	rep := Analyze(c)
+	rep := c.report()
 	checkSum(t, rep)
 	ta := taskByID(t, rep, 7)
 
@@ -118,18 +162,17 @@ func TestAttributionFullPipeline(t *testing.T) {
 // uncovered time: leading gap -> submit, interior gap -> retry_backoff,
 // trailing gap -> other, and no evidence at all -> submit.
 func TestAttributionGapClasses(t *testing.T) {
-	clk := &tickClock{}
-	c := obs.New(clk)
+	c := newRecorder("")
 
-	task := addTask(c, 1, "a", "x", "done", 0, 100*ms)
+	task := c.task(1, "a", "x", "done", 0, 100*ms)
 	// Evidence only in the middle: runs [20,40) and [60,80).
 	c.AddSpan("htex", "run", "w", task, 20*ms, 40*ms)
 	c.AddSpan("htex", "run", "w", task, 60*ms, 80*ms)
 
-	bare := addTask(c, 2, "a", "x", "done", 0, 50*ms)
+	bare := c.task(2, "a", "x", "done", 0, 50*ms)
 	_ = bare
 
-	rep := Analyze(c)
+	rep := c.report()
 	checkSum(t, rep)
 
 	ta := taskByID(t, rep, 1)
@@ -156,21 +199,20 @@ func TestAttributionGapClasses(t *testing.T) {
 // queue time: waiting for a busy worker is decomposed along the
 // blocking run's phases, while wait with no blocker stays queue.
 func TestAttributionBlockedQueue(t *testing.T) {
-	clk := &tickClock{}
-	c := obs.New(clk)
+	c := newRecorder("")
 
 	// Blocker: another task's run on w0 over [0, 60ms), split into
 	// 20ms kernel-queue, 30ms compute, 10ms host remainder.
-	blocker := addTask(c, 1, "a", "ex", "done", 0, 60*ms)
+	blocker := c.task(1, "a", "ex", "done", 0, 60*ms)
 	brun := c.AddSpan("htex", "run", "w0", blocker, 0, 60*ms)
 	c.AddSpan("simgpu", "k", "ctx", brun, 20*ms, 50*ms, obs.Dur("queue_ns", 20*ms))
 
 	// Waiter: queued [0, 80ms) for w0, runs [80, 100ms).
-	waiter := addTask(c, 2, "a", "ex", "done", 0, 100*ms)
+	waiter := c.task(2, "a", "ex", "done", 0, 100*ms)
 	c.AddSpan("htex", "queue", "task", waiter, 0, 80*ms, obs.String("worker", "w0"))
 	c.AddSpan("htex", "run", "w0", waiter, 80*ms, 100*ms)
 
-	rep := Analyze(c)
+	rep := c.report()
 	checkSum(t, rep)
 	ta := taskByID(t, rep, 2)
 	want := map[Phase]time.Duration{
@@ -195,23 +237,22 @@ func TestAttributionBlockedQueue(t *testing.T) {
 // claims otherwise-uncovered queue-adjacent time, but only for tasks on
 // that executor, and never outranks real evidence.
 func TestAttributionRestartWindow(t *testing.T) {
-	clk := &tickClock{}
-	c := obs.New(clk)
+	c := newRecorder("")
 
 	// Restart window [20, 60) on executor ex1.
 	c.AddSpan("htex", "restart", "ex1", 0, 20*ms, 60*ms, obs.String("executor", "ex1"))
 
-	t1 := addTask(c, 1, "a", "ex1", "done", 0, 100*ms)
+	t1 := c.task(1, "a", "ex1", "done", 0, 100*ms)
 	c.AddSpan("htex", "run", "w", t1, 60*ms, 100*ms)
 
-	t2 := addTask(c, 2, "a", "ex2", "done", 0, 100*ms)
+	t2 := c.task(2, "a", "ex2", "done", 0, 100*ms)
 	c.AddSpan("htex", "run", "w", t2, 60*ms, 100*ms)
 
 	// Task fully covered by a queue span: restart must not outrank it.
-	t3 := addTask(c, 3, "a", "ex1", "done", 0, 100*ms)
+	t3 := c.task(3, "a", "ex1", "done", 0, 100*ms)
 	c.AddSpan("htex", "queue", "task", t3, 0, 100*ms)
 
-	rep := Analyze(c)
+	rep := c.report()
 	checkSum(t, rep)
 
 	if ta := taskByID(t, rep, 1); ta.Phases[PhaseRestartStall] != 40*ms {
@@ -228,12 +269,10 @@ func TestAttributionRestartWindow(t *testing.T) {
 // TestBreakdownJSONRoundTrip locks the canonical phase-object encoding
 // and rejects unknown phase names on the way back in.
 func TestBreakdownJSONRoundTrip(t *testing.T) {
-	clk := &tickClock{}
-	c := obs.New(clk)
-	c.SetScope("rt")
-	task := addTask(c, 1, "a", "x", "done", 0, 10*ms)
+	c := newRecorder("rt")
+	task := c.task(1, "a", "x", "done", 0, 10*ms)
 	c.AddSpan("htex", "run", "w", task, 0, 10*ms)
-	rep := Analyze(c)
+	rep := c.report()
 
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -258,13 +297,11 @@ func TestBreakdownJSONRoundTrip(t *testing.T) {
 
 // TestWriteFolded locks the folded-stack line format and ordering.
 func TestWriteFolded(t *testing.T) {
-	clk := &tickClock{}
-	c := obs.New(clk)
-	c.SetScope("s")
-	task := addTask(c, 1, "app", "ex", "done", 0, 30*ms)
+	c := newRecorder("s")
+	task := c.task(1, "app", "ex", "done", 0, 30*ms)
 	run := c.AddSpan("htex", "run", "w", task, 10*ms, 30*ms, obs.Int("gpu_pct", 25))
 	c.AddSpan("simgpu", "k", "ctx", run, 10*ms, 30*ms)
-	rep := Analyze(c)
+	rep := c.report()
 
 	var buf bytes.Buffer
 	if err := WriteFolded(&buf, rep); err != nil {
@@ -307,8 +344,9 @@ func TestMonitorAlertLifecycle(t *testing.T) {
 	clk := &tickClock{}
 	c := obs.New(clk)
 	c.SetScope("mon")
+	st := NewStreamer(c)
 	rules := []Rule{{App: "a", Latency: 10 * ms, Target: 0.5, Window: time.Second}}
-	m := NewMonitor(c, clk, rules)
+	m := NewMonitor(c, clk, rules, nil)
 	if m == nil {
 		t.Fatal("nil monitor")
 	}
@@ -335,12 +373,7 @@ func TestMonitorAlertLifecycle(t *testing.T) {
 		t.Errorf("bad events = %v, want 2", got)
 	}
 
-	var alerts []obs.Span
-	for _, s := range c.Spans() {
-		if s.Cat == "slo" && s.Name == "burn" {
-			alerts = append(alerts, s)
-		}
-	}
+	alerts := st.alerts
 	if len(alerts) != 1 {
 		t.Fatalf("alert spans = %d, want 1", len(alerts))
 	}
@@ -353,7 +386,7 @@ func TestMonitorAlertLifecycle(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteAlerts(&buf, c); err != nil {
+	if err := WriteAlerts(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "mon app=a start=200ms end=500ms") {
@@ -366,25 +399,19 @@ func TestMonitorAlertLifecycle(t *testing.T) {
 func TestMonitorCloseFlushesActiveAlert(t *testing.T) {
 	clk := &tickClock{}
 	c := obs.New(clk)
-	m := NewMonitor(c, clk, []Rule{{App: "a", Latency: ms, Target: 0.5}})
+	st := NewStreamer(c)
+	m := NewMonitor(c, clk, []Rule{{App: "a", Latency: ms, Target: 0.5}}, nil)
 	clk.now = 50 * ms
 	addTask(c, 1, "a", "ex", "failed", 0, 50*ms)
 	clk.now = 80 * ms
 	m.Close()
-	var got *obs.Span
-	for _, s := range c.Spans() {
-		if s.Cat == "slo" {
-			s := s
-			got = &s
-		}
-	}
-	if got == nil || got.Start != 50*ms || got.End != 80*ms {
-		t.Fatalf("flushed alert = %+v", got)
+	if len(st.alerts) != 1 || st.alerts[0].Start != 50*ms || st.alerts[0].End != 80*ms {
+		t.Fatalf("flushed alerts = %+v", st.alerts)
 	}
 }
 
 func TestNewMonitorNil(t *testing.T) {
-	if NewMonitor(nil, &tickClock{}, []Rule{{App: "a"}}) != nil {
+	if NewMonitor(nil, &tickClock{}, []Rule{{App: "a"}}, nil) != nil {
 		t.Error("nil collector should yield nil monitor")
 	}
 	var m *Monitor

@@ -1,9 +1,7 @@
 package analyze
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -67,38 +65,20 @@ func ParseSLOSpec(spec string) ([]Rule, error) {
 	return rules, nil
 }
 
-// sloEvent is one terminal task outcome inside the sliding window.
-type sloEvent struct {
-	at  time.Duration
-	bad bool
-}
-
-// sloSeriesCap bounds the per-app tsdb event series backing a
-// db-based sliding window. A window holding more events than this is
-// clipped (and counted in slo_window_clipped_total); size it above the
-// densest window the scenario produces.
+// sloSeriesCap bounds the per-app tsdb event series backing the
+// sliding window. A window holding more events than this is clipped
+// (and counted in slo_window_clipped_total); size it above the densest
+// window the scenario produces.
 var sloSeriesCap = 1 << 16
 
-// appState tracks one rule's sliding window and active alert. The
-// window lives either in the in-memory events list (classic mode) or
-// in a tsdb event series (when the monitor is db-backed); the alert
-// state machine is identical in both.
+// appState tracks one rule's sliding window and its alert. The window
+// lives in tsdb event series; the alert state machine is the tsdb
+// alert engine's.
 type appState struct {
-	rule   Rule
-	events []sloEvent
-	head   int // index of the oldest live event
-	bad    int
-
+	rule       Rule
 	evSeries   *tsdb.Series // per-task outcomes (0 good / 1 bad)
 	burnSeries *tsdb.Series // burn rate after each event
-	alert      *tsdb.Alert  // db mode: the engine-backed "slo-burn" rule
-
-	// Classic (list-backed) mode keeps the inline state machine; db
-	// mode delegates it to the tsdb alert engine.
-	alertActive bool
-	alertStart  time.Duration
-	alertEvents int
-	peakBurn    float64
+	alert      *tsdb.Alert  // the engine-backed "slo-burn" rule
 }
 
 // Monitor evaluates SLO burn rates live over the span stream. It is
@@ -115,49 +95,38 @@ type Monitor struct {
 }
 
 // NewMonitor attaches a monitor for the given rules to the collector's
-// span stream. A nil collector yields a nil (no-op) monitor.
-func NewMonitor(c *obs.Collector, clk obs.Clock, rules []Rule) *Monitor {
+// span stream. Per app, its sliding window lives in db event series:
+// "slo:events" records each terminal task outcome (0 good, 1 bad) at
+// its end time and "slo:burn" the burn rate after it, so the signal is
+// queryable while the run is live (db.Latest("slo:burn", ...) is the
+// reusable control input for autoscalers and the HTTP plane). A nil db
+// gets a private store over its own registry, which keeps the alert
+// engine's alert_*_total counters out of the collector's exported
+// metrics. A nil collector yields a nil (no-op) monitor.
+func NewMonitor(c *obs.Collector, clk obs.Clock, rules []Rule, db *tsdb.DB) *Monitor {
 	if c == nil || len(rules) == 0 {
 		return nil
+	}
+	if db == nil {
+		db = tsdb.New(obs.NewRegistry(clk), clk, tsdb.Config{})
 	}
 	m := &Monitor{c: c, clk: clk, apps: make(map[string]*appState)}
 	for _, r := range rules {
 		if r.Window <= 0 {
 			r.Window = DefaultSLOWindow
 		}
-		m.apps[r.App] = &appState{rule: r}
-		m.order = append(m.order, r.App)
-	}
-	c.OnSpanEnd(m.onSpan)
-	return m
-}
-
-// NewMonitorTSDB attaches a monitor whose sliding windows live in db
-// event series instead of in-memory lists: per app, "slo:events"
-// records each terminal task outcome (0 good, 1 bad) at its end time
-// and "slo:burn" the burn rate after it. Alert semantics are identical
-// to NewMonitor — the burn fraction is just computed from windowed
-// series queries — but the signal becomes queryable while the run is
-// live (db.Latest("slo:burn", ...) is the reusable control input for
-// autoscalers and the HTTP plane). A nil db yields a classic monitor.
-func NewMonitorTSDB(c *obs.Collector, clk obs.Clock, rules []Rule, db *tsdb.DB) *Monitor {
-	m := NewMonitor(c, clk, rules)
-	if m == nil || db == nil {
-		return m
-	}
-	for _, app := range m.order {
-		app := app
-		st := m.apps[app]
-		st.evSeries = db.EventSeries("slo:events", sloSeriesCap, obs.L("app", app))
-		st.burnSeries = db.EventSeries("slo:burn", sloSeriesCap, obs.L("app", app))
-		// The alert state machine is the engine's: an event-driven rule
-		// (no Series, no For — fire on the first burn >= 1, resolve on
-		// the first burn < 1) fed each per-task burn value at its event
-		// time. The OnEvent hook reproduces the classic monitor's side
-		// effects — slo_alerts_total on firing, the retroactive slo/burn
-		// span on resolution — so the alert stream stays byte-equal
-		// while the pending/firing state, alert:state series, and
-		// incident history become queryable live.
+		app := r.App
+		st := &appState{
+			rule:       r,
+			evSeries:   db.EventSeries("slo:events", sloSeriesCap, obs.L("app", app)),
+			burnSeries: db.EventSeries("slo:burn", sloSeriesCap, obs.L("app", app)),
+		}
+		// An event-driven rule (no Series, no For — fire on the first
+		// burn >= 1, resolve on the first burn < 1) fed each per-task
+		// burn value at its event time. The OnEvent hook counts
+		// slo_alerts_total on firing and records the retroactive
+		// slo/burn span on resolution, while the pending/firing state,
+		// alert:state series and incident history stay queryable live.
 		st.alert = db.AddAlert(tsdb.AlertRule{
 			Name:      "slo-burn",
 			Labels:    []obs.Label{obs.L("app", app)},
@@ -175,68 +144,30 @@ func NewMonitorTSDB(c *obs.Collector, clk obs.Clock, rules []Rule, db *tsdb.DB) 
 				}
 			},
 		})
+		m.apps[app] = st
+		m.order = append(m.order, app)
 	}
+	c.OnSpanEnd(m.onSpan)
 	return m
 }
 
-// burn returns the current burn rate: the fraction of the error
-// budget (1-target) consumed by the window's bad fraction. burn >= 1
-// means the objective is being violated.
-func (st *appState) burn() float64 {
-	n := len(st.events) - st.head
-	if n == 0 {
-		return 0
-	}
-	badFrac := float64(st.bad) / float64(n)
-	return badFrac / (1 - st.rule.Target)
-}
-
-// record adds one terminal outcome at its event time, evicting
-// anything that fell out of the sliding window, and reports whether
-// the window is still complete (a clipped tsdb ring degrades burn to
-// an estimate over what's retained).
-func (st *appState) record(at time.Duration, bad bool) (complete bool) {
-	if st.evSeries != nil {
-		v := 0.0
-		if bad {
-			v = 1
-		}
-		st.evSeries.Append(at, v)
-		_, complete = st.evSeries.CountSince(at - st.rule.Window)
-		return complete
-	}
-	st.events = append(st.events, sloEvent{at: at, bad: bad})
+// record adds one terminal outcome at its event time and returns the
+// burn rate over the window ending there: the fraction of the error
+// budget (1-target) consumed by the window's bad fraction, so burn >= 1
+// means the objective is being violated. The bad count is a windowed
+// sum of 0/1 samples — exact integers, so the quotient is exact too.
+// complete is false when a clipped ring degraded burn to an estimate
+// over what is retained.
+func (st *appState) record(at time.Duration, bad bool) (burn float64, complete bool) {
+	v := 0.0
 	if bad {
-		st.bad++
+		v = 1
 	}
+	st.evSeries.Append(at, v)
 	cutoff := at - st.rule.Window
-	for st.head < len(st.events) && st.events[st.head].at < cutoff {
-		if st.events[st.head].bad {
-			st.bad--
-		}
-		st.head++
-	}
-	if st.head > 0 && st.head == len(st.events) {
-		st.events = st.events[:0]
-		st.head = 0
-	}
-	return true
-}
-
-// burnAt returns the burn rate over the window ending at the given
-// event time. In db-backed mode the bad count is a windowed sum of
-// 0/1 samples — exact integers, so the quotient is bit-identical to
-// the list computation over the same events.
-func (st *appState) burnAt(at time.Duration) float64 {
-	if st.evSeries == nil {
-		return st.burn()
-	}
-	n, _ := st.evSeries.CountSince(at - st.rule.Window)
-	if n == 0 {
-		return 0
-	}
-	badFrac := st.evSeries.SumSince(at-st.rule.Window) / float64(n)
-	return badFrac / (1 - st.rule.Target)
+	n, complete := st.evSeries.CountSince(cutoff)
+	badFrac := st.evSeries.SumSince(cutoff) / float64(n)
+	return badFrac / (1 - st.rule.Target), complete
 }
 
 func (m *Monitor) onSpan(s obs.Span) {
@@ -260,42 +191,12 @@ func (m *Monitor) onSpan(s obs.Span) {
 		verdict = "bad"
 	}
 	m.c.Metrics().Counter("slo_events_total", obs.L("app", st.rule.App), obs.L("verdict", verdict)).Inc()
-	if complete := st.record(s.End, !good); !complete {
+	burn, complete := st.record(s.End, !good)
+	if !complete {
 		m.c.Metrics().Counter("slo_window_clipped_total", obs.L("app", st.rule.App)).Inc()
 	}
-	burn := st.burnAt(s.End)
 	st.burnSeries.Append(s.End, burn)
-	if st.alert != nil {
-		st.alert.Observe(s.End, burn)
-		return
-	}
-	switch {
-	case burn >= 1 && !st.alertActive:
-		st.alertActive = true
-		st.alertStart = s.End
-		st.alertEvents = 1
-		st.peakBurn = burn
-		m.c.Metrics().Counter("slo_alerts_total", obs.L("app", st.rule.App)).Inc()
-	case st.alertActive && burn >= 1:
-		st.alertEvents++
-		if burn > st.peakBurn {
-			st.peakBurn = burn
-		}
-	case st.alertActive && burn < 1:
-		m.emitAlert(st, s.End)
-	}
-}
-
-// emitAlert records the completed alert window as a retroactive span.
-func (m *Monitor) emitAlert(st *appState, end time.Duration) {
-	m.c.AddSpan("slo", "burn", "slo:"+st.rule.App, 0, st.alertStart, end,
-		obs.String("app", st.rule.App),
-		obs.Float("peak_burn", st.peakBurn),
-		obs.Int("events", st.alertEvents),
-	)
-	st.alertActive = false
-	st.alertEvents = 0
-	st.peakBurn = 0
+	st.alert.Observe(s.End, burn)
 }
 
 // Close flushes alert windows still burning at run end, clamped to the
@@ -306,34 +207,6 @@ func (m *Monitor) Close() {
 	}
 	now := m.clk.Now()
 	for _, app := range m.order {
-		st := m.apps[app]
-		if st.alert != nil {
-			st.alert.Resolve(now)
-			continue
-		}
-		if st.alertActive {
-			m.emitAlert(st, now)
-		}
+		m.apps[app].alert.Resolve(now)
 	}
-}
-
-// WriteAlerts renders every recorded SLO alert window as one text line
-// per alert, in collector order then emission order — the
-// deterministic "alert stream" artifact.
-func WriteAlerts(w io.Writer, collectors ...*obs.Collector) error {
-	bw := bufio.NewWriter(w)
-	for _, c := range collectors {
-		if c == nil {
-			continue
-		}
-		scope := c.Scope()
-		for _, s := range c.Spans() {
-			if s.Cat != "slo" || s.Name != "burn" {
-				continue
-			}
-			fmt.Fprintf(bw, "%s app=%s start=%s end=%s peak_burn=%s events=%s\n",
-				scope, s.Attr("app"), s.Start, s.End, s.Attr("peak_burn"), s.Attr("events"))
-		}
-	}
-	return bw.Flush()
 }

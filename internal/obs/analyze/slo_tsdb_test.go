@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 
@@ -12,11 +13,16 @@ import (
 // TestMonitorTSDBMatchesClassic replays one deterministic task-outcome
 // stream — two apps, latency-violation bursts that raise and clear
 // alerts several times, a pseudo-random sprinkle of failures — through
-// the classic list-backed monitor and the tsdb-backed one, and
-// requires byte-identical alert streams. The burn fraction in db mode
-// is a windowed sum of 0/1 samples over the same events, so the floats
-// (and therefore every alert boundary and peak) must match exactly.
+// a monitor with a private store and one sharing the run's store, and
+// requires both alert streams to equal testdata/monitor_alerts.txt,
+// captured from the retired list-backed monitor. The burn fraction is
+// a windowed sum of 0/1 samples, so the floats (and therefore every
+// alert boundary and peak) match the list computation exactly.
 func TestMonitorTSDBMatchesClassic(t *testing.T) {
+	want, err := os.ReadFile("testdata/monitor_alerts.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rules := []Rule{
 		{App: "llama", Latency: 10 * ms, Target: 0.9, Window: time.Second},
 		{App: "resnet", Latency: 20 * ms, Target: 0.8, Window: 2 * time.Second},
@@ -26,9 +32,10 @@ func TestMonitorTSDBMatchesClassic(t *testing.T) {
 	c1, c2 := obs.New(clk1), obs.New(clk2)
 	c1.SetScope("unit")
 	c2.SetScope("unit")
-	m1 := NewMonitor(c1, clk1, rules)
+	st1, st2 := NewStreamer(c1), NewStreamer(c2)
+	m1 := NewMonitor(c1, clk1, rules, nil)
 	db := tsdb.New(c2.Metrics(), clk2, tsdb.Config{})
-	m2 := NewMonitorTSDB(c2, clk2, rules, db)
+	m2 := NewMonitor(c2, clk2, rules, db)
 
 	// xorshift-ish LCG for a reproducible failure sprinkle.
 	seed := uint64(0x9e3779b97f4a7c15)
@@ -75,21 +82,26 @@ func TestMonitorTSDBMatchesClassic(t *testing.T) {
 	m1.Close()
 	m2.Close()
 
-	var a1, a2 bytes.Buffer
-	if err := WriteAlerts(&a1, c1); err != nil {
-		t.Fatalf("WriteAlerts classic: %v", err)
+	if n := bytes.Count(want, []byte("\n")); n < 3 {
+		t.Fatalf("golden must hold >= 3 alert windows across apps, got %d:\n%s", n, want)
 	}
-	if err := WriteAlerts(&a2, c2); err != nil {
-		t.Fatalf("WriteAlerts tsdb: %v", err)
+	for _, st := range []*Streamer{st1, st2} {
+		var got bytes.Buffer
+		if err := WriteAlerts(&got, st); err != nil {
+			t.Fatalf("WriteAlerts: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("alert stream differs from golden:\ngolden:\n%s\ngot:\n%s", want, got.Bytes())
+		}
 	}
-	if a1.Len() == 0 {
-		t.Fatal("no alerts in the classic stream — the scenario must exercise the state machine")
+	// The engine's alert counters live in the private store's registry,
+	// never in the collector's exported metrics.
+	var prom bytes.Buffer
+	if err := obs.WritePrometheus(&prom, c1); err != nil {
+		t.Fatal(err)
 	}
-	if n := bytes.Count(a1.Bytes(), []byte("\n")); n < 3 {
-		t.Fatalf("want >= 3 alert windows across apps, got %d:\n%s", n, a1.Bytes())
-	}
-	if !bytes.Equal(a1.Bytes(), a2.Bytes()) {
-		t.Fatalf("alert streams differ:\nclassic:\n%s\ntsdb:\n%s", a1.Bytes(), a2.Bytes())
+	if bytes.Contains(prom.Bytes(), []byte("alert_")) || bytes.Contains(prom.Bytes(), []byte("slo_window_clipped_total")) {
+		t.Fatalf("private-store monitor leaked engine or clip counters:\n%s", prom.Bytes())
 	}
 
 	// The db-backed monitor leaves a queryable control signal behind.
@@ -115,7 +127,7 @@ func TestMonitorTSDBWindowClipping(t *testing.T) {
 	c := obs.New(clk)
 	db := tsdb.New(c.Metrics(), clk, tsdb.Config{})
 	rules := []Rule{{App: "llama", Latency: 10 * ms, Target: 0.9, Window: time.Second}}
-	if m := NewMonitorTSDB(c, clk, rules, db); m == nil {
+	if m := NewMonitor(c, clk, rules, db); m == nil {
 		t.Fatal("nil monitor")
 	}
 	for i := 0; i < 32; i++ {

@@ -15,29 +15,28 @@ import (
 // is constant.
 const sweepEvery = 4096
 
-// Streamer is the incremental counterpart of Analyze for one
-// collector: it consumes the span stream through OnSpanStart/OnSpanEnd
-// hooks and attributes each task as soon as its evidence is complete,
-// evicting evidence that can no longer overlap any open task window.
-// Memory is bounded by concurrently open tasks plus the eviction
-// window instead of by run length, while the resulting Report is
-// byte-identical to the snapshot path:
+// Streamer attributes one collector's tasks: it consumes the span
+// stream through OnSpanStart/OnSpanEnd hooks and attributes each task
+// as soon as its evidence is complete, evicting evidence that can no
+// longer overlap any open task window. Memory is bounded by
+// concurrently open tasks plus the eviction window instead of by run
+// length, and the Report depends only on the recorded spans, never on
+// the order they completed in:
 //
 //   - evidence lists are re-sorted by span ID before each attribution,
-//     reproducing the snapshot's ID-ordered interval assembly;
+//     so intervals are assembled in ID order (interval order decides
+//     equal-priority ties);
 //   - tasks ending inside an open executor restart window are deferred
 //     until the restart span is recorded, so retroactive restart
 //     evidence is never missed;
-//   - attributed tasks are sorted by task-span ID in Finish, restoring
-//     the snapshot's emission-order output regardless of completion
-//     order.
+//   - attributed tasks are sorted by task-span ID in Finish, giving
+//     emission-order output regardless of completion order.
 //
 // Build one Streamer per collector before the run, then merge them in
-// collector order with BuildReport. Tasks still open when Finish runs
-// are not attributed (the snapshot path clamps them instead); real
-// runs complete every task before export. SLO alert spans are cached
-// (they are not evicted — alert streams are tiny) for
-// WriteAlertsStreamed.
+// collector order with BuildReport. Spans still open when Finish runs
+// are clamped to the current virtual time and attributed like ended
+// ones. SLO alert spans are cached (they are not evicted — alert
+// streams are tiny) for WriteAlerts.
 type Streamer struct {
 	c  *obs.Collector
 	a  *analyzer
@@ -104,8 +103,7 @@ func (st *Streamer) onEnd(s obs.Span) {
 	}
 	// Only spans that can be attribution evidence are copied to the
 	// heap; everything else (fault injections, repart decisions, daemon
-	// lifecycles) passes through untouched — mirroring what the
-	// snapshot analyzer ignores.
+	// lifecycles) passes through untouched.
 	if !evidenceSpan(&s) {
 		return
 	}
@@ -130,9 +128,9 @@ func (st *Streamer) onEnd(s obs.Span) {
 	}
 }
 
-// evidenceSpan reports whether the snapshot analyzer would index this
-// span: a task, restart, init, or run span, or any child span (device
-// activity under runs, queue waits under tasks).
+// evidenceSpan reports whether attribution indexes this span: a task,
+// restart, init, or run span, or any child span (device activity under
+// runs, queue waits under tasks).
 func evidenceSpan(s *obs.Span) bool {
 	if s.Parent != 0 {
 		return true
@@ -176,12 +174,12 @@ func (st *Streamer) attribute(t *obs.Span) {
 	delete(st.a.children, t.ID)
 }
 
-// sortEvidence restores snapshot (span-ID) order on every index list
-// this task's attribution will read. Streaming arrival order is
-// end-time order; the snapshot path assembles intervals in ID order,
-// and interval order decides equal-priority ties, so the lists must
-// match before attributeTask runs. Run-interval memos are computed on
-// first use, so a run's child list is sorted before it is memoized.
+// sortEvidence restores span-ID order on every index list this task's
+// attribution will read. Arrival order is end-time order, but
+// intervals must be assembled in ID order — interval order decides
+// equal-priority ties — so the lists are sorted before attributeTask
+// runs. Run-interval memos are computed on first use, so a run's child
+// list is sorted before it is memoized.
 func (st *Streamer) sortEvidence(t *obs.Span) {
 	a := st.a
 	sortSpansByID(a.restarts)
@@ -287,37 +285,41 @@ func filterSpans(spans []*obs.Span, thr time.Duration) []*obs.Span {
 	return kept
 }
 
-// Finish completes the stream: still-open restart windows are clamped
-// to the current virtual time and added as evidence (exactly what a
-// Spans() snapshot would contain), remaining deferred tasks are
-// attributed, every task gets the collector's (possibly just-assigned)
-// scope, and the output is sorted back into span-ID order. Idempotent;
-// BuildReport calls it automatically.
+// Finish completes the stream: spans still open (tasks, their queue
+// waits and runs, executor restart windows) are clamped to the current
+// virtual time and added as evidence in ID order, deferred and still-
+// open tasks are attributed, every task gets the collector's (possibly
+// just-assigned) scope, and the output is sorted back into span-ID
+// order. Idempotent; BuildReport calls it automatically.
 func (st *Streamer) Finish() {
 	if st == nil || st.finished {
 		return
 	}
 	st.finished = true
 	now := st.c.Now()
-	ids := make([]obs.SpanID, 0, len(st.openRestarts))
-	for id := range st.openRestarts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		r := st.openRestarts[id]
-		r.End = now
-		if r.End < r.Start {
-			r.End = r.Start
+	open := st.c.CheckClosed()
+	sort.Slice(open, func(i, j int) bool { return open[i].ID < open[j].ID })
+	var openTasks []*obs.Span
+	for i := range open {
+		s := &open[i]
+		if !evidenceSpan(s) {
+			continue
 		}
-		cp := new(obs.Span)
-		*cp = r
-		st.a.addEvidence(cp)
+		s.End = now
+		if s.End < s.Start {
+			s.End = s.Start
+		}
+		if st.a.addEvidence(s) {
+			openTasks = append(openTasks, s)
+		}
 	}
 	for _, t := range st.deferred {
 		st.attribute(t)
 	}
 	st.deferred = nil
+	for _, t := range openTasks {
+		st.attribute(t)
+	}
 	scope := st.c.Scope()
 	for i := range st.tasks {
 		st.tasks[i].Scope = scope
@@ -339,8 +341,7 @@ func (b byTaskID) Swap(i, j int) {
 }
 
 // BuildReport finishes the streamers and merges their attributions in
-// argument order — the same collector order Analyze takes — yielding a
-// Report byte-identical to the snapshot path for the same run.
+// argument order, so a deterministic run yields a deterministic Report.
 func BuildReport(streamers ...*Streamer) *Report {
 	rep := &Report{}
 	for _, st := range streamers {
@@ -354,10 +355,10 @@ func BuildReport(streamers ...*Streamer) *Report {
 	return rep
 }
 
-// WriteAlertsStreamed renders the SLO alert stream from streamers (the
-// alert spans a streaming collector has already flushed to its sink),
-// in the same format and order as WriteAlerts over snapshots.
-func WriteAlertsStreamed(w io.Writer, streamers ...*Streamer) error {
+// WriteAlerts renders every SLO alert window the streamers saw as one
+// text line per alert, in streamer (collector) order then emission
+// order — the deterministic "alert stream" artifact.
+func WriteAlerts(w io.Writer, streamers ...*Streamer) error {
 	bw := bufio.NewWriter(w)
 	for _, st := range streamers {
 		if st == nil {

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 
@@ -79,36 +80,58 @@ func liveRun(c *obs.Collector, clk *tickClock) {
 	_ = rs2 // left open: Finish must clamp it, like a snapshot would
 }
 
-// TestStreamerMatchesSnapshot locks the core streaming contract: the
-// incremental Report is byte-identical to the snapshot path for the
-// same span stream, including deferred-restart and clamped-open-
-// restart tasks.
+// TestStreamerMatchesSnapshot locks the streaming contract: the
+// Report for the live sequence equals testdata/live_report.json,
+// captured from the retired snapshot analyzer — including the
+// deferred-restart task and the task that ends while a restart window
+// is still open at Finish.
 func TestStreamerMatchesSnapshot(t *testing.T) {
-	snapClk := &tickClock{}
-	snap := obs.New(snapClk)
-	snap.SetScope("cell")
-	liveRun(snap, snapClk)
-	want := Analyze(snap)
-
-	strClk := &tickClock{}
-	c := obs.New(strClk)
-	st := NewStreamer(c)
-	liveRun(c, strClk)
-	c.SetScope("cell") // scopes are assigned after the run, like report does
-	got := BuildReport(st)
-
-	var wb, gb bytes.Buffer
-	if err := want.WriteJSON(&wb); err != nil {
+	want, err := os.ReadFile("testdata/live_report.json")
+	if err != nil {
 		t.Fatal(err)
 	}
+	clk := &tickClock{}
+	c := obs.New(clk)
+	st := NewStreamer(c)
+	liveRun(c, clk)
+	c.SetScope("cell") // scopes are assigned after the run, like report does
+	got := BuildReport(st)
+	var gb bytes.Buffer
 	if err := got.WriteJSON(&gb); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-		t.Fatalf("streamed report differs from snapshot report:\nsnapshot: %s\nstreamed: %s", wb.String(), gb.String())
+	if !bytes.Equal(gb.Bytes(), want) {
+		t.Fatalf("streamed report differs from golden:\ngolden: %s\nstreamed: %s", want, gb.Bytes())
 	}
 	if len(got.Tasks) != 4 {
 		t.Fatalf("want 4 tasks, got %d", len(got.Tasks))
+	}
+}
+
+// TestStreamerAttributesOpenTasksClamped: a task still open at Finish
+// is attributed with its end clamped to the current virtual time,
+// together with its still-open queue wait, so the phases still sum to
+// the clamped duration.
+func TestStreamerAttributesOpenTasksClamped(t *testing.T) {
+	clk := &tickClock{}
+	c := obs.New(clk)
+	c.SetScope("open")
+	st := NewStreamer(c)
+	clk.now = 10 * ms
+	task := c.StartSpan("dfk", "task", "task/1", 0,
+		obs.Int("task", 1), obs.String("app", "llama"), obs.String("executor", "ex"))
+	c.StartSpan("htex", "queue", "task/1", task)
+	clk.now = 70 * ms
+	rep := BuildReport(st)
+	if len(rep.Tasks) != 1 {
+		t.Fatalf("want the open task attributed, got %d tasks", len(rep.Tasks))
+	}
+	ta := rep.Tasks[0]
+	if ta.StartNS != int64(10*ms) || ta.EndNS != int64(70*ms) || ta.Scope != "open" {
+		t.Fatalf("open task attributed as %+v", ta)
+	}
+	if ta.Phases[PhaseQueue] != 60*ms || ta.Phases.Total() != ta.Duration() {
+		t.Fatalf("open task phases = %+v", ta.Phases)
 	}
 }
 

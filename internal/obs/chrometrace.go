@@ -10,15 +10,15 @@ import (
 // The Chrome trace-event JSON envelope. Every event in the stream is
 // written preceded by ",\n"; a commaDropper strips the very first
 // comma so the first event follows the opening bracket with a bare
-// newline. Rendering every event through the same TraceSection code in
-// both snapshot and streaming mode makes the two byte-identical by
-// construction.
+// newline. Every exporter — artifact files, spilled shard sections and
+// the live span tail — renders events through the same TraceSection
+// code, so their bytes agree by construction.
 const traceHeader = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
 const traceTrailer = "\n]}\n"
 
 // TraceHeader is the artifact envelope prefix, exported so the live
 // /spans endpoint can serve a raw stream whose bytes prefix-match the
-// snapshot export.
+// trace artifact.
 const TraceHeader = traceHeader
 
 // commaDropper strips the leading comma from the first non-empty write
@@ -41,12 +41,17 @@ func (d *commaDropper) Write(p []byte) (int, error) {
 }
 
 // TraceSection renders one collector's spans as the trace events of a
-// single process (pid). It implements SpanSink, so it can be attached
-// directly to a streaming collector, and it is also the rendering core
-// of the snapshot WriteChromeTrace. Events are written to w as they
-// are emitted, each preceded by ",\n"; tracks become tids in
-// first-seen order. Section output composed through a TraceStream (or
-// WriteChromeTrace's internal commaDropper) forms the full artifact.
+// single process (pid), loadable in Perfetto or chrome://tracing. It
+// implements SpanSink and is attached to the collector before the run.
+// Events are written to w as they are emitted, each preceded by ",\n";
+// tracks become tids in first-seen order. Causal links are carried two
+// ways: every event's args hold the span's id and parent id, and
+// parent/child pairs on different tracks additionally get flow
+// ("s"/"f") events so Perfetto draws the arrow, e.g. from a DFK task
+// lane to the worker that ran it. The JSON is written by hand in a
+// fixed field order — no map iteration — so output is byte-identical
+// for identical inputs. Section output composed through a TraceStream
+// forms the full artifact.
 type TraceSection struct {
 	w    io.Writer
 	pid  int
@@ -72,7 +77,7 @@ func (ts *TraceSection) Err() error { return ts.err }
 
 // EmitSpan renders one complete event (plus thread metadata for
 // first-seen tracks and flow events for cross-track parent links).
-// Implements SpanSink; also safe to call with snapshot copies.
+// Implements SpanSink.
 func (ts *TraceSection) EmitSpan(s *Span) {
 	tid := ts.tid(s.Track)
 	ts.appendComplete(tid, s)
@@ -213,45 +218,4 @@ func (t *TraceStream) Append(r io.Reader) error {
 func (t *TraceStream) Close() error {
 	t.bw.WriteString(traceTrailer)
 	return t.bw.Flush()
-}
-
-// WriteChromeTrace emits the collectors' spans as Chrome trace-event
-// JSON ("X" complete events), loadable in Perfetto or chrome://tracing.
-//
-// Each collector becomes one process (pid = position in the argument
-// list, named by its scope); each track becomes a thread in first-seen
-// order. Causal links are carried two ways: every event's args hold
-// the span's id and parent id, and parent/child pairs on different
-// tracks additionally get flow ("s"/"f") events so Perfetto draws the
-// arrow, e.g. from a DFK task lane to the worker that ran it.
-//
-// Within each process, unpinned spans appear in emission (ID) order
-// and pinned daemon-lifecycle spans follow at the end — the same
-// partition a streaming collector produces (see Collector.Close), so
-// snapshot and streaming runs render byte-identical artifacts. The
-// JSON is written by hand in a fixed field order — no map iteration —
-// so output is byte-identical for identical inputs.
-func WriteChromeTrace(w io.Writer, collectors ...*Collector) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(traceHeader)
-	d := &commaDropper{w: bw}
-	for ci, c := range collectors {
-		if c == nil {
-			continue
-		}
-		sec := NewTraceSection(d, ci+1, c.Scope())
-		spans := c.Spans()
-		for i := range spans {
-			if s := &spans[i]; !s.pinned && !s.drop {
-				sec.EmitSpan(s)
-			}
-		}
-		for i := range spans {
-			if s := &spans[i]; s.pinned && !s.drop {
-				sec.EmitSpan(s)
-			}
-		}
-	}
-	bw.WriteString(traceTrailer)
-	return bw.Flush()
 }

@@ -138,22 +138,16 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 // fully nested inside the parent's [ts, ts+dur] window, carry the
 // parent's id in args, and produce no flow events (same track).
 func TestChromeTraceNesting(t *testing.T) {
-	clk := &fakeClock{}
-	c := New(clk)
-	c.SetScope("s")
-	parent := c.StartSpan("htex", "run", "w0", 0)
-	clk.t = time.Second
-	child := c.StartSpan("htex", "step", "w0", parent)
-	clk.t = 2 * time.Second
-	c.EndSpan(child)
-	clk.t = 3 * time.Second
-	c.EndSpan(parent)
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
+	trace := traceOf(t, "s", func(clk *fakeClock, c *Collector) {
+		parent := c.StartSpan("htex", "run", "w0", 0)
+		clk.t = time.Second
+		child := c.StartSpan("htex", "step", "w0", parent)
+		clk.t = 2 * time.Second
+		c.EndSpan(child)
+		clk.t = 3 * time.Second
+		c.EndSpan(parent)
+	})
+	events := decodeTrace(t, trace)
 	var p, ch *traceEvent
 	for i := range events {
 		e := &events[i]
@@ -171,7 +165,7 @@ func TestChromeTraceNesting(t *testing.T) {
 		}
 	}
 	if p == nil || ch == nil {
-		t.Fatalf("missing events in %s", buf.String())
+		t.Fatalf("missing events in %s", trace)
 	}
 	if p.Tid != ch.Tid {
 		t.Errorf("parent tid %d != child tid %d", p.Tid, ch.Tid)
@@ -186,20 +180,22 @@ func TestChromeTraceNesting(t *testing.T) {
 }
 
 // TestChromeTraceCrossEnvMerge: merging collectors assigns each a
-// distinct pid by argument position, keeps span ids process-local, and
-// emits every collector's events contiguously in argument order.
+// distinct pid by section order, keeps span ids process-local, and
+// emits every collector's events contiguously in section order — also
+// when the sections render concurrently into buffers and are spliced
+// with Append, the sharded-run merge path.
 func TestChromeTraceCrossEnvMerge(t *testing.T) {
-	mk := func(scope string, start time.Duration) *Collector {
-		c := New(&fakeClock{})
-		c.SetScope(scope)
-		task := c.AddSpan("dfk", "task", "lane", 0, start, start+time.Second)
-		c.AddSpan("htex", "run", "w", task, start, start+time.Second)
-		return c
+	fill := func(start time.Duration) func(*fakeClock, *Collector) {
+		return func(_ *fakeClock, c *Collector) {
+			task := c.AddSpan("dfk", "task", "lane", 0, start, start+time.Second)
+			c.AddSpan("htex", "run", "w", task, start, start+time.Second)
+		}
 	}
-	c1 := mk("alpha", 0)
-	c2 := mk("beta", 5*time.Second)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, c1, c2); err != nil {
+	ts := NewTraceStream(&buf)
+	recordSection(ts, "alpha", fill(0))
+	recordSection(ts, "beta", fill(5*time.Second))
+	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events := decodeTrace(t, buf.Bytes())
@@ -227,13 +223,27 @@ func TestChromeTraceCrossEnvMerge(t *testing.T) {
 		t.Errorf("spans per pid = %v", spans)
 	}
 
-	// Byte-determinism of the merged artifact.
+	// The spliced artifact is byte-identical to the live one.
+	var secs [2]bytes.Buffer
+	for i, scope := range []string{"alpha", "beta"} {
+		c := New(&fakeClock{})
+		c.SetScope(scope)
+		c.SetSink(NewTraceSection(&secs[i], i+1, scope))
+		fill(time.Duration(i)*5*time.Second)(nil, c)
+		c.Close()
+	}
 	var buf2 bytes.Buffer
-	if err := WriteChromeTrace(&buf2, mk("alpha", 0), mk("beta", 5*time.Second)); err != nil {
+	ts2 := NewTraceStream(&buf2)
+	for i := range secs {
+		if err := ts2.Append(&secs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ts2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {
-		t.Error("merged trace not byte-identical across identical inputs")
+		t.Error("spliced trace not byte-identical to the live one")
 	}
 }
 

@@ -50,10 +50,42 @@ func decodeTrace(t *testing.T, data []byte) []traceEvent {
 	return out
 }
 
+// traceOf records fill on a fresh collector named scope whose spans
+// stream into a one-section trace artifact, closes it, and returns the
+// artifact.
+func traceOf(t *testing.T, scope string, fill func(*fakeClock, *Collector)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	ts := NewTraceStream(&buf)
+	recordSection(ts, scope, fill)
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// recordSection records fill on a fresh collector streaming into the
+// next section of ts, then closes the collector.
+func recordSection(ts *TraceStream, scope string, fill func(*fakeClock, *Collector)) *Collector {
+	clk := &fakeClock{}
+	c := New(clk)
+	c.SetScope(scope)
+	c.SetSink(ts.Section(scope))
+	fill(clk, c)
+	c.Close()
+	return c
+}
+
 func buildSampleCollector() (*fakeClock, *Collector) {
 	clk := &fakeClock{}
 	c := New(clk)
 	c.SetScope("cell")
+	fillSample(clk, c)
+	return clk, c
+}
+
+// fillSample records a task with a run and a retroactive kernel.
+func fillSample(clk *fakeClock, c *Collector) {
 	task := c.StartSpan("dfk", "task", "task-1", 0, Int("task", 1), String("app", "a"))
 	clk.t = time.Second
 	run := c.StartSpan("htex", "run", "w0", task, String("app", "a"))
@@ -61,16 +93,10 @@ func buildSampleCollector() (*fakeClock, *Collector) {
 	clk.t = 3 * time.Second
 	c.EndSpan(run, String("status", "done"))
 	c.EndSpan(task, String("status", "done"))
-	return clk, c
 }
 
 func TestChromeTraceSchema(t *testing.T) {
-	_, c := buildSampleCollector()
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
+	events := decodeTrace(t, traceOf(t, "cell", fillSample))
 
 	var completes, metas, flows int
 	ids := map[string]bool{}
@@ -113,13 +139,17 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 }
 
+// TestChromeTraceProcessPerCollector: each section of a trace stream
+// is one process, numbered in section order; an unnamed scope renders
+// as env<pid>.
 func TestChromeTraceProcessPerCollector(t *testing.T) {
-	_, c1 := buildSampleCollector()
-	clk2 := &fakeClock{}
-	c2 := New(clk2)
-	c2.AddSpan("dfk", "task", "task-1", 0, 0, time.Second)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, c1, nil, c2); err != nil {
+	ts := NewTraceStream(&buf)
+	recordSection(ts, "cell", fillSample)
+	recordSection(ts, "", func(_ *fakeClock, c *Collector) {
+		c.AddSpan("dfk", "task", "task-1", 0, 0, time.Second)
+	})
+	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
 	pids := map[int]bool{}
@@ -130,10 +160,10 @@ func TestChromeTraceProcessPerCollector(t *testing.T) {
 			names[e.Pid] = e.arg("name")
 		}
 	}
-	if !pids[1] || !pids[3] || pids[2] {
-		t.Errorf("pids = %v (nil collector should be skipped)", pids)
+	if len(pids) != 2 || !pids[1] || !pids[2] {
+		t.Errorf("pids = %v, want 1 and 2", pids)
 	}
-	if names[1] != "cell" || names[3] != "env3" {
+	if names[1] != "cell" || names[2] != "env2" {
 		t.Errorf("process names = %v", names)
 	}
 }
@@ -199,18 +229,19 @@ func TestPrometheusKindMismatchErrors(t *testing.T) {
 
 func TestExportersDeterministic(t *testing.T) {
 	render := func() (string, string) {
-		_, c := buildSampleCollector()
+		var c *Collector
+		tr := traceOf(t, "cell", func(clk *fakeClock, col *Collector) {
+			c = col
+			fillSample(clk, col)
+		})
 		m := c.Metrics()
 		m.Counter("a", L("k", "v")).Inc()
 		m.Gauge("b").Set(1)
-		var tr, pr bytes.Buffer
-		if err := WriteChromeTrace(&tr, c); err != nil {
-			t.Fatal(err)
-		}
+		var pr bytes.Buffer
 		if err := WritePrometheus(&pr, c); err != nil {
 			t.Fatal(err)
 		}
-		return tr.String(), pr.String()
+		return string(tr), pr.String()
 	}
 	t1, p1 := render()
 	t2, p2 := render()

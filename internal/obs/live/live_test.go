@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,9 +21,8 @@ func (c *fakeClock) Now() time.Duration { return c.t }
 
 const ms = time.Millisecond
 
-// addWork populates a collector with a deterministic span set (no
-// pinned spans, so streamed emission order equals the snapshot
-// export's) plus some metrics.
+// addWork populates a collector with a deterministic span set plus
+// some metrics.
 func addWork(c *obs.Collector, clk *fakeClock) {
 	reg := c.Metrics()
 	lat := reg.Histogram("task_latency_seconds", obs.DefLatencyBuckets, obs.L("app", "llama"))
@@ -87,22 +87,17 @@ func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 	srv := NewServer()
 	tail := srv.Tail("unit", 0)
 
-	// Streamed collector feeding the tail.
-	clk1 := &fakeClock{}
-	c1 := obs.New(clk1)
-	c1.SetScope("unit")
-	c1.SetSink(tail)
-	addWork(c1, clk1)
-	c1.Close()
-
-	// Snapshot collector with the identical span stream.
-	clk2 := &fakeClock{}
-	c2 := obs.New(clk2)
-	c2.SetScope("unit")
-	addWork(c2, clk2)
+	// One collector feeding the tail and the trace artifact.
+	clk := &fakeClock{}
+	c := obs.New(clk)
+	c.SetScope("unit")
 	var want bytes.Buffer
-	if err := obs.WriteChromeTrace(&want, c2); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	artifact := obs.NewTraceStream(&want)
+	c.SetSink(Tee(tail, artifact.Section("unit")))
+	addWork(c, clk)
+	c.Close()
+	if err := artifact.Close(); err != nil {
+		t.Fatalf("trace artifact: %v", err)
 	}
 
 	ts := httptest.NewServer(srv.Handler())
@@ -113,12 +108,12 @@ func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 		t.Fatalf("/spans?format=raw status %d", code)
 	}
 	if len(raw) == 0 || !bytes.HasPrefix(want.Bytes(), raw) {
-		t.Fatalf("raw tail (%d bytes) is not a prefix of the snapshot export (%d bytes)\ntail:\n%s",
+		t.Fatalf("raw tail (%d bytes) is not a prefix of the trace artifact (%d bytes)\ntail:\n%s",
 			len(raw), want.Len(), raw)
 	}
-	// The tail covers everything up to the trailer: snapshot = tail + "\n]}\n".
+	// The tail covers everything up to the trailer: artifact = tail + "\n]}\n".
 	if got, wantLen := len(raw), want.Len()-4; got != wantLen {
-		t.Fatalf("tail covers %d bytes, want %d (snapshot minus trailer)", got, wantLen)
+		t.Fatalf("tail covers %d bytes, want %d (artifact minus trailer)", got, wantLen)
 	}
 
 	// NDJSON mode: every line is a standalone JSON object.
@@ -164,11 +159,11 @@ func TestSeriesAPI(t *testing.T) {
 	defer ts.Close()
 
 	var resp struct {
-		OK      bool      `json:"ok"`
-		Value   *float64  `json:"value"`
-		Samples []any     `json:"samples"`
-		Series  []any     `json:"series"`
-		Error   string    `json:"error"`
+		OK      bool     `json:"ok"`
+		Value   *float64 `json:"value"`
+		Samples []any    `json:"samples"`
+		Series  []any    `json:"series"`
+		Error   string   `json:"error"`
 	}
 	query := func(path string, wantCode int) {
 		t.Helper()
@@ -177,11 +172,11 @@ func TestSeriesAPI(t *testing.T) {
 			t.Fatalf("%s status %d, want %d: %s", path, code, wantCode, body)
 		}
 		resp = struct {
-			OK      bool      `json:"ok"`
-			Value   *float64  `json:"value"`
-			Samples []any     `json:"samples"`
-			Series  []any     `json:"series"`
-			Error   string    `json:"error"`
+			OK      bool     `json:"ok"`
+			Value   *float64 `json:"value"`
+			Samples []any    `json:"samples"`
+			Series  []any    `json:"series"`
+			Error   string   `json:"error"`
 		}{}
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatalf("%s bad JSON: %v\n%s", path, err, body)
@@ -279,5 +274,62 @@ func TestServerStartClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server still reachable after Close")
+	}
+}
+
+// TestSlowFollowerDropsAreCounted: a follower that never reads misses
+// every chunk past its buffer, and the tail counts each one and reports
+// the total on /spans.
+func TestSlowFollowerDropsAreCounted(t *testing.T) {
+	srv := NewServer()
+	tail := srv.Tail("unit", 0)
+	_, cancel := tail.follow(1) // never read
+	defer cancel()
+	clk := &fakeClock{}
+	c := obs.New(clk)
+	c.SetSink(tail)
+	addWork(c, clk)
+	// One chunk per span: the first fills the buffer, the other 19 drop.
+	if got := tail.Dropped(); got != 19 {
+		t.Fatalf("Dropped() = %d, want 19", got)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/spans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Spans-Dropped"); got != "19" {
+		t.Fatalf("X-Spans-Dropped = %q, want 19", got)
+	}
+}
+
+// TestStalledHeadersDisconnected: a client that opens a connection but
+// never finishes its request headers is cut off after the header
+// timeout instead of holding the connection forever.
+func TestStalledHeadersDisconnected(t *testing.T) {
+	prev := readHeaderTimeout
+	readHeaderTimeout = 100 * ms
+	defer func() { readHeaderTimeout = prev }()
+	srv := NewServer()
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v", time.Since(start))
 	}
 }

@@ -57,7 +57,7 @@ func (s *Server) AttachDB(scope string, db *tsdb.DB) {
 
 // Tail creates and registers a span tail for /spans. Pids are assigned
 // sequentially in registration order, matching the collectors'
-// positions in a snapshot Chrome-trace export of the same run.
+// positions in the Chrome-trace artifact of the same run.
 func (s *Server) Tail(scope string, maxBytes int) *SpanTail {
 	if s == nil {
 		return nil
@@ -99,6 +99,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers before the server drops the connection.
+var readHeaderTimeout = 10 * time.Second
+
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the
 // background, returning the bound address.
 func (s *Server) Start(addr string) (string, error) {
@@ -108,7 +112,9 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.mu.Lock()
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	// Only the request headers are bounded: /spans?follow=1 streams for
+	// as long as the client stays, so there is no WriteTimeout.
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	srv := s.srv
 	s.mu.Unlock()
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
@@ -401,10 +407,12 @@ func (s *Server) tailFor(scope string) *SpanTail {
 
 // handleSpans serves the retained span tail. format=ndjson (default)
 // emits one trace event per line; format=raw emits the same bytes the
-// snapshot Chrome-trace export starts with (header + events, no
-// trailer) so a client can diff the live stream against the artifact.
-// follow=1 keeps the connection open and streams future events (slow
-// followers drop events rather than stalling the simulation).
+// Chrome-trace artifact starts with (header + events, no trailer) so a
+// client can diff the live stream against the artifact. follow=1 keeps
+// the connection open and streams future events (slow followers drop
+// events rather than stalling the simulation). X-Spans-Evicted counts
+// chunks the bounded window has evicted, X-Spans-Dropped the chunks
+// followers of this tail have missed so far.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	tail := s.tailFor(r.URL.Query().Get("scope"))
 	if tail == nil {
@@ -416,6 +424,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 
 	chunks, evicted := tail.Snapshot()
 	w.Header().Set("X-Spans-Evicted", fmt.Sprintf("%d", evicted))
+	w.Header().Set("X-Spans-Dropped", fmt.Sprintf("%d", tail.Dropped()))
 	var write func(chunk []byte) error
 	if raw {
 		w.Header().Set("Content-Type", "application/json")

@@ -21,7 +21,7 @@ import (
 // broadcasts each flush to live followers. Events are rendered by the
 // same TraceSection code as the artifact exporters, so as long as
 // nothing has been evicted the raw tail is a byte-prefix of the
-// snapshot Chrome-trace export for the same collector.
+// Chrome-trace artifact for the same collector.
 type SpanTail struct {
 	mu      sync.Mutex
 	sec     *obs.TraceSection
@@ -30,6 +30,7 @@ type SpanTail struct {
 	bytes   int
 	max     int
 	evicted int64
+	dropped int64 // chunks not delivered to a follower whose buffer was full
 	spans   int64
 	subs    map[chan []byte]struct{}
 }
@@ -39,7 +40,7 @@ type SpanTail struct {
 const DefaultTailBytes = 1 << 20
 
 // NewSpanTail builds a tail rendering as trace process pid (matching
-// the collector's position in the snapshot export) named by scope.
+// the collector's position in the trace artifact) named by scope.
 func NewSpanTail(pid int, scope string, maxBytes int) *SpanTail {
 	if maxBytes <= 0 {
 		maxBytes = DefaultTailBytes
@@ -71,6 +72,7 @@ func (w captureWriter) Write(p []byte) (int, error) {
 		select {
 		case ch <- chunk:
 		default: // a slow follower drops events rather than stalling the sim
+			t.dropped++
 		}
 	}
 	t.mu.Unlock()
@@ -99,6 +101,14 @@ func (t *SpanTail) Spans() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.spans
+}
+
+// Dropped returns how many chunks followers have missed because their
+// buffers were full, summed over every follower the tail has had.
+func (t *SpanTail) Dropped() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
 }
 
 // Scope returns the tail's trace-process name.

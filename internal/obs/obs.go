@@ -4,22 +4,20 @@
 //
 // A Collector is per-Env and, like every devent object, must only be
 // touched from sim context. Merging across Envs happens at export time
-// (WriteChromeTrace, WritePrometheus) in the order collectors are
+// (TraceStream sections, WritePrometheus) in the order collectors are
 // passed, so exported output is byte-identical regardless of how the
 // Envs were scheduled onto OS threads — the same contract the harness
 // package guarantees for report sections.
 //
-// Collection runs in one of two modes. In the default snapshot mode
-// every span is retained until export, exactly as before. Attaching a
-// SpanSink (SetSink) switches the collector to streaming mode: ended
-// spans are flushed to the sink incrementally, in span-ID order, and
-// released from memory, so a run's span footprint is bounded by the
-// number of concurrently open spans rather than by run length. Spans
-// pinned with PinSpan (long-lived daemon lifecycles such as htex
-// workers) are parked aside so they never block the flush frontier;
-// they are emitted after all unpinned spans when the collector is
-// Closed — the snapshot exporters apply the same pinned-last partition
-// so both modes render byte-identical artifacts.
+// Collection streams: ended spans are flushed incrementally, in
+// span-ID order, to the SpanSink attached with SetSink (or discarded
+// when none is attached) and released from memory, so a run's span
+// footprint is bounded by the number of concurrently open spans rather
+// than by run length. Every export is a sink or span listener attached
+// before the run. Spans pinned with PinSpan (long-lived daemon
+// lifecycles such as htex workers) are parked aside so they never
+// block the flush frontier; they are emitted after all unpinned spans
+// when the collector is Closed.
 //
 // Every method is nil-receiver safe: a nil *Collector (instrumentation
 // disabled) is a no-op. Hot paths should additionally guard with
@@ -72,15 +70,14 @@ type Span struct {
 	// ptrack is the parent span's track, captured at creation so
 	// exporters can draw cross-track flow arrows without holding the
 	// parent span in memory (the parent may already be flushed by the
-	// time a streaming sink renders the child).
+	// time a sink renders the child).
 	ptrack string
 	// pinned marks a long-lived daemon lifecycle span (PinSpan): it is
-	// excluded from the streaming flush frontier and emitted after all
-	// unpinned spans, in both streaming and snapshot export.
+	// excluded from the flush frontier and emitted after all unpinned
+	// spans, at Close.
 	pinned bool
 	// drop marks a span excluded by deterministic sampling
-	// (SetSampleMod); it is retained and visible to listeners and
-	// Spans(), but skipped by sinks and trace export.
+	// (SetSampleMod); listeners see it, sinks do not.
 	drop bool
 }
 
@@ -97,11 +94,11 @@ func (s Span) Attr(key string) string {
 	return ""
 }
 
-// SpanSink receives spans released by a streaming collector. EmitSpan
-// is called from sim context, in span-ID order for unpinned spans
-// (pinned spans arrive last, at Close); the *Span is borrowed and only
-// valid for the duration of the call. Spans still open at Close arrive
-// clamped to the final virtual time, mirroring Spans() snapshots.
+// SpanSink receives spans released by a collector. EmitSpan is called
+// from sim context, in span-ID order for unpinned spans (pinned spans
+// arrive last, at Close); the *Span is borrowed and only valid for the
+// duration of the call. Spans still open at Close arrive clamped to
+// the final virtual time.
 type SpanSink interface {
 	EmitSpan(s *Span)
 }
@@ -111,10 +108,10 @@ type Collector struct {
 	clock Clock
 	scope string
 
-	// spans is the retained window in span-ID order: everything ever
-	// recorded in snapshot mode, only the unflushed suffix when a sink
-	// is attached. spans[i].ID == winBase + SpanID(i); entries below
-	// head have been flushed and are reclaimed by compaction.
+	// spans is the retained window in span-ID order: the unflushed
+	// suffix of everything recorded. spans[i].ID == winBase + SpanID(i);
+	// entries below head have been flushed and are reclaimed by
+	// compaction.
 	spans   []Span
 	head    int
 	winBase SpanID
@@ -206,23 +203,16 @@ func (c *Collector) Metrics() *Registry {
 	return c.reg
 }
 
-// SetSink attaches a streaming sink and switches the collector to
-// streaming mode: ended unpinned spans are flushed to the sink in
-// span-ID order and released from memory. Attach the sink before the
-// run starts; call Close at run end to flush the remainder. A nil sink
-// returns to snapshot-only retention for spans recorded afterwards.
+// SetSink attaches the sink that ended unpinned spans are flushed to,
+// in span-ID order, before they are released from memory. Attach it
+// before the run starts — spans flushed earlier are already gone — and
+// call Close at run end to flush the remainder. Without a sink (or
+// with a nil one) flushed spans are discarded.
 func (c *Collector) SetSink(sink SpanSink) {
-	if c == nil {
-		return
-	}
-	c.sink = sink
-	if sink != nil {
-		c.advance()
+	if c != nil {
+		c.sink = sink
 	}
 }
-
-// Streaming reports whether a sink is attached.
-func (c *Collector) Streaming() bool { return c != nil && c.sink != nil }
 
 // SetSampleMod enables deterministic 1-in-n sampling of sink emission:
 // a root span (Parent == 0) is kept iff fnv32a(Track) % n == 0, and
@@ -230,8 +220,8 @@ func (c *Collector) Streaming() bool { return c != nil && c.sink != nil }
 // whole causal trees. Pinned spans are always kept. n <= 1 disables
 // sampling. The rule depends only on span content — never on wall
 // clock or randomness — so sampled output is byte-deterministic.
-// Sampling affects sinks and trace export only; Spans(), listeners,
-// and leak checks always see every span.
+// Sampling affects sinks only; listeners and leak checks always see
+// every span.
 func (c *Collector) SetSampleMod(n int) {
 	if c == nil {
 		return
@@ -315,9 +305,7 @@ func (c *Collector) EndSpan(id SpanID, attrs ...Attr) {
 	c.openCount--
 	c.cSpanEnded.Inc()
 	c.fireEnd(*s)
-	if c.sink != nil {
-		c.advance()
-	}
+	c.advance()
 }
 
 // AddSpan records a span retroactively with explicit start/end times
@@ -342,16 +330,13 @@ func (c *Collector) AddSpan(cat, name, track string, parent SpanID, start, end t
 	c.cSpanEnded.Inc()
 	c.noteRetained()
 	c.fireEnd(s)
-	if c.sink != nil {
-		c.advance()
-	}
+	c.advance()
 	return id
 }
 
 // PinSpan marks a span as a long-lived daemon lifecycle (e.g. an htex
-// worker): the streaming flush frontier parks it aside instead of
-// waiting for it to end, and exporters render it after all unpinned
-// spans. Pin immediately after StartSpan, before recording children.
+// worker): the flush frontier parks it aside instead of waiting for it
+// to end, and Close emits it after all unpinned spans. Pin immediately after StartSpan, before recording children.
 // Pinned spans are exempt from sampling.
 func (c *Collector) PinSpan(id SpanID) {
 	if c == nil || id == 0 {
@@ -407,16 +392,19 @@ func (c *Collector) emit(s *Span) {
 		return
 	}
 	c.cSpanFlushed.Inc()
-	c.sink.EmitSpan(s)
+	if c.sink != nil {
+		c.sink.EmitSpan(s)
+	}
 }
 
 func (c *Collector) noteRetained() {
 	if r := len(c.spans) - c.head + len(c.parked); r > c.maxRetained {
 		c.maxRetained = r
 		// The gauge trails the exact high-water by at most 1/16: a
-		// snapshot-mode window grows with every span, and appending a
-		// step-history sample each time would make the gauge history
-		// itself scale with run length. MaxRetained stays exact.
+		// window that grows with every span (a long-open parent) would
+		// otherwise append a step-history sample each time and make the
+		// gauge history itself scale with run length. MaxRetained stays
+		// exact.
 		if r >= c.retainedNoted+c.retainedNoted/16+1 {
 			c.retainedNoted = r
 			c.gRetained.Set(float64(r))
@@ -425,9 +413,9 @@ func (c *Collector) noteRetained() {
 }
 
 // MaxRetained returns the high-water mark of spans held in memory at
-// once. In snapshot mode this equals Len(); with a sink attached it is
-// bounded by concurrently open spans plus pinned daemons — the number
-// the scale scenario asserts stays flat as task count grows.
+// once: bounded by concurrently open spans (and the ended spans queued
+// behind the oldest of them) plus pinned daemons — the number the
+// scale scenario asserts stays flat as task count grows.
 func (c *Collector) MaxRetained() int {
 	if c == nil {
 		return 0
@@ -435,15 +423,14 @@ func (c *Collector) MaxRetained() int {
 	return c.maxRetained
 }
 
-// Close flushes a streaming collector at run end: remaining unpinned
-// spans first (clamped to the final virtual time if still open), then
-// every pinned span, all in ID order within each group — the same
-// partition the snapshot exporters use. Spans stay retained and
-// unclamped in the collector itself, so CheckClosed and Spans() keep
+// Close flushes the collector at run end: remaining unpinned spans
+// first (clamped to the final virtual time if still open), then every
+// pinned span, all in ID order within each group. Open spans stay
+// retained and unclamped in the collector itself, so CheckClosed keeps
 // working after Close. Further spans must not be recorded after Close;
-// no-op without a sink, on repeat calls, and on a nil collector.
+// no-op on repeat calls and on a nil collector.
 func (c *Collector) Close() {
-	if c == nil || c.sink == nil || c.closed {
+	if c == nil || c.closed {
 		return
 	}
 	c.advance()
@@ -521,10 +508,9 @@ func (c *Collector) OpenSpans() int {
 // CheckClosed returns the spans still open, in start order: the
 // open-span leak check. At run end only daemon lifecycles that the
 // drain legitimately interrupts (htex worker spans) should remain;
-// anything else is instrumentation that forgot to EndSpan. Works
-// identically in streaming mode — open spans are never flushed, and
-// Close clamps only the copies it emits — so leak detection keeps full
-// fidelity with a sink attached.
+// anything else is instrumentation that forgot to EndSpan. Open spans
+// are never flushed, and Close clamps only the copies it emits, so
+// leak detection keeps full fidelity.
 func (c *Collector) CheckClosed() []Span {
 	if c == nil || c.openCount == 0 {
 		return nil
@@ -539,27 +525,6 @@ func (c *Collector) CheckClosed() []Span {
 		if c.spans[i].End < 0 {
 			out = append(out, c.spans[i])
 		}
-	}
-	return out
-}
-
-// Spans returns a snapshot of the retained spans in emission (ID)
-// order: all spans ever recorded in snapshot mode; only parked pinned
-// spans plus the unflushed window in streaming mode (flushed spans
-// have left memory — that is the point of streaming). Spans still open
-// (e.g. daemon worker lifecycles when the simulation drains) are
-// clamped to end at the current virtual time, so every snapshot
-// satisfies End >= Start.
-func (c *Collector) Spans() []Span {
-	if c == nil {
-		return nil
-	}
-	now := c.clock.Now()
-	out := make([]Span, 0, len(c.parked)+len(c.spans)-c.head)
-	out = append(out, c.parked...)
-	out = append(out, c.spans[c.head:]...)
-	for i := range out {
-		clampSpan(&out[i], now)
 	}
 	return out
 }

@@ -13,6 +13,8 @@ func (c *fakeClock) Now() time.Duration { return c.t }
 func TestSpanLifecycle(t *testing.T) {
 	clk := &fakeClock{}
 	c := New(clk)
+	sink := &captureSink{}
+	c.SetSink(sink)
 	root := c.StartSpan("dfk", "task", "task-1", 0, Int("task", 1), String("app", "train"))
 	if root == 0 {
 		t.Fatal("root span id 0")
@@ -24,7 +26,8 @@ func TestSpanLifecycle(t *testing.T) {
 	clk.t = 5 * time.Second
 	c.EndSpan(root, String("status", "done"))
 
-	spans := c.Spans()
+	// The child ended first, but the sink receives spans in ID order.
+	spans := sink.spans
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d", len(spans))
 	}
@@ -46,20 +49,23 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 }
 
+// TestOpenSpanClampedInSnapshot: Close emits a copy of a still-open
+// span clamped to the current virtual time, while the collector's own
+// span stays open.
 func TestOpenSpanClampedInSnapshot(t *testing.T) {
 	clk := &fakeClock{}
 	c := New(clk)
+	sink := &captureSink{}
+	c.SetSink(sink)
 	clk.t = 2 * time.Second
 	id := c.StartSpan("htex", "worker", "w0", 0)
 	clk.t = 7 * time.Second
-	spans := c.Spans()
-	if spans[0].End != 7*time.Second {
-		t.Fatalf("open span end = %v", spans[0].End)
+	c.Close()
+	if len(sink.spans) != 1 || sink.spans[0].End != 7*time.Second {
+		t.Fatalf("emitted spans = %+v, want one ending at 7s", sink.spans)
 	}
-	// The stored span stays open: a later snapshot clamps further out.
-	clk.t = 9 * time.Second
-	if got := c.Spans()[0].End; got != 9*time.Second {
-		t.Fatalf("later snapshot end = %v", got)
+	if open := c.CheckClosed(); len(open) != 1 || open[0].ID != id || open[0].End >= 0 {
+		t.Fatalf("stored span not left open: %+v", open)
 	}
 	c.EndSpan(id)
 	if c.OpenSpans() != 0 {
@@ -110,7 +116,9 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.ProcSpawned("p", 0)
 	c.ProcExited("p", 0)
 	c.Dispatched(0)
-	if c.Len() != 0 || c.OpenSpans() != 0 || c.Spans() != nil || c.Scope() != "" || c.Metrics() != nil {
+	c.SetSink(&captureSink{})
+	c.Close()
+	if c.Len() != 0 || c.OpenSpans() != 0 || c.CheckClosed() != nil || c.Scope() != "" || c.Metrics() != nil {
 		t.Fatal("nil collector leaked state")
 	}
 	// Instruments resolved through the nil registry are no-op too.

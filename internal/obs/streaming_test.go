@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 )
@@ -31,46 +32,44 @@ func buildWorkload(clk *fakeClock, c *Collector) {
 	c.EndSpan(t1, String("status", "done"))
 }
 
-// TestStreamingTraceMatchesSnapshot is the byte-identity regression at
-// the obs layer: the same workload rendered through the snapshot
-// exporter (WriteChromeTrace) and through the streaming path
-// (TraceSection sink + Close + TraceStream splice) must produce
-// identical artifacts.
+// TestStreamingTraceMatchesSnapshot pins the trace of the workload —
+// rendered live through a section sink, and spliced from a buffered
+// section — to testdata/workload_trace.json, captured from the
+// retired snapshot exporter: pinned spans last, the open pinned worker
+// clamped at Close.
 func TestStreamingTraceMatchesSnapshot(t *testing.T) {
-	snapClk := &fakeClock{}
-	snap := New(snapClk)
-	snap.SetScope("cell")
-	buildWorkload(snapClk, snap)
-	var want bytes.Buffer
-	if err := WriteChromeTrace(&want, snap); err != nil {
+	want, err := os.ReadFile("testdata/workload_trace.json")
+	if err != nil {
 		t.Fatal(err)
 	}
+	live := traceOf(t, "cell", buildWorkload)
+	if !bytes.Equal(live, want) {
+		t.Errorf("live trace differs from golden:\ngolden:\n%s\nlive:\n%s", want, live)
+	}
 
-	strClk := &fakeClock{}
-	str := New(strClk)
-	str.SetScope("cell")
+	clk := &fakeClock{}
+	c := New(clk)
+	c.SetScope("cell")
 	var section bytes.Buffer
-	str.SetSink(NewTraceSection(&section, 1, "cell"))
-	buildWorkload(strClk, str)
-	str.Close()
-	var got bytes.Buffer
-	ts := NewTraceStream(&got)
-	if err := ts.Append(bytes.NewReader(section.Bytes())); err != nil {
+	c.SetSink(NewTraceSection(&section, 1, "cell"))
+	buildWorkload(clk, c)
+	c.Close()
+	var spliced bytes.Buffer
+	ts := NewTraceStream(&spliced)
+	if err := ts.Append(&section); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if want.String() != got.String() {
-		t.Errorf("streaming trace differs from snapshot:\nsnapshot:\n%s\nstreaming:\n%s",
-			want.String(), got.String())
+	if !bytes.Equal(spliced.Bytes(), want) {
+		t.Errorf("spliced trace differs from golden:\ngolden:\n%s\nspliced:\n%s", want, spliced.Bytes())
 	}
 }
 
-// TestStreamingReleasesFlushedSpans checks the documented Spans() and
-// Len() semantics with a sink: flushed spans leave memory, totals and
-// retained high-water stay accurate.
+// TestStreamingReleasesFlushedSpans checks that ended spans leave
+// memory as the frontier passes them, while totals, the retained
+// high-water and the open-span view stay accurate.
 func TestStreamingReleasesFlushedSpans(t *testing.T) {
 	clk := &fakeClock{}
 	c := New(clk)
@@ -82,25 +81,37 @@ func TestStreamingReleasesFlushedSpans(t *testing.T) {
 		t.Errorf("Len() = %d, want 5 (flushed spans still counted)", c.Len())
 	}
 	// All four unpinned spans have ended and flushed; only the parked
-	// pinned worker remains retained.
-	if got := c.Spans(); len(got) != 1 || got[0].Name != "worker" {
-		t.Errorf("retained spans after flush = %+v, want just the pinned worker", got)
+	// pinned worker remains, still open.
+	if open := c.CheckClosed(); len(open) != 1 || open[0].Name != "worker" {
+		t.Errorf("open spans after flush = %+v, want just the pinned worker", open)
 	}
 	if len(sink.spans) != 4 {
 		t.Errorf("sink received %d spans before Close, want 4", len(sink.spans))
 	}
-	// The retained snapshot clamps the still-open worker span.
-	if s := c.Spans()[0]; s.End != clk.t {
-		t.Errorf("open pinned span not clamped in Spans(): End = %v, want %v", s.End, clk.t)
+	// The frontier held at task-1's open run until the end, so all
+	// five spans were in memory at once.
+	if got := c.MaxRetained(); got != 5 {
+		t.Errorf("MaxRetained() = %d, want 5", got)
+	}
+	// Close emits the still-open worker clamped to the current time.
+	c.Close()
+	if len(sink.spans) != 5 {
+		t.Fatalf("sink received %d spans after Close, want 5", len(sink.spans))
+	}
+	if s := sink.spans[4]; s.Name != "worker" || s.End != clk.t {
+		t.Errorf("pinned worker emitted as %+v, want clamped to %v", s, clk.t)
 	}
 }
 
 // TestStreamingBoundedRetention drives many sequential task spans
-// through a streaming collector and checks the retained high-water
-// stays flat — the bounded-memory property the scale scenario relies
-// on — while a snapshot collector retains everything.
+// through a collector and checks the retained high-water stays flat —
+// the bounded-memory property the scale scenario relies on — whether
+// a sink is attached or flushed spans are discarded.
 func TestStreamingBoundedRetention(t *testing.T) {
-	drive := func(c *Collector, clk *fakeClock) {
+	drive := func(sink SpanSink) *Collector {
+		clk := &fakeClock{}
+		c := New(clk)
+		c.SetSink(sink)
 		for i := 0; i < 500; i++ {
 			root := c.StartSpan("dfk", "task", "task", 0)
 			child := c.StartSpan("htex", "run", "w0", root)
@@ -108,22 +119,22 @@ func TestStreamingBoundedRetention(t *testing.T) {
 			c.EndSpan(child)
 			c.EndSpan(root)
 		}
+		return c
 	}
-	strClk := &fakeClock{}
-	str := New(strClk)
-	str.SetSink(&captureSink{})
-	drive(str, strClk)
-	if str.Len() != 1000 {
-		t.Fatalf("Len() = %d, want 1000", str.Len())
+	sink := &captureSink{}
+	for _, c := range []*Collector{drive(sink), drive(nil)} {
+		if c.Len() != 1000 {
+			t.Fatalf("Len() = %d, want 1000", c.Len())
+		}
+		if c.MaxRetained() > 8 {
+			t.Errorf("MaxRetained() = %d, want a small constant (<= 8)", c.MaxRetained())
+		}
+		if got := c.Metrics().Counter("obs_spans_flushed_total").Value(); got != 1000 {
+			t.Errorf("obs_spans_flushed_total = %v, want 1000", got)
+		}
 	}
-	if str.MaxRetained() > 8 {
-		t.Errorf("streaming MaxRetained() = %d, want a small constant (<= 8)", str.MaxRetained())
-	}
-	snapClk := &fakeClock{}
-	snap := New(snapClk)
-	drive(snap, snapClk)
-	if snap.MaxRetained() != snap.Len() {
-		t.Errorf("snapshot MaxRetained() = %d, want Len() = %d", snap.MaxRetained(), snap.Len())
+	if len(sink.spans) != 1000 {
+		t.Errorf("sink received %d spans, want 1000", len(sink.spans))
 	}
 }
 
@@ -163,7 +174,7 @@ func TestCheckClosedStreaming(t *testing.T) {
 // TestSampleModDeterministicSinkOnly checks the sampling contract:
 // the kept set depends only on span content (byte-deterministic across
 // runs), descendants inherit their root's verdict, pinned spans are
-// always kept, and listeners plus Spans() still see every span.
+// always kept, and listeners still see every span.
 func TestSampleModDeterministicSinkOnly(t *testing.T) {
 	run := func() (kept []string, ended int, total int) {
 		clk := &fakeClock{}

@@ -6,24 +6,35 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
 // The alerts artifact's regression contract: for every scenario the
 // rendered alert history is byte-identical at -parallel 1 and 4 and
-// under -stream. The artifact goes to its own writer, so the scale
-// scenario's wall-clock lines (which legitimately vary) never enter
-// the comparison.
+// with span sinks attached (as the live server's tails are). The
+// artifact goes to its own writer, so the scale scenario's wall-clock
+// lines (which legitimately vary) never enter the comparison.
 
-func renderAutoscaleAlerts(t *testing.T, workers int, stream bool) []byte {
+// nopSink discards spans; it is safe for concurrent use.
+type nopSink struct{}
+
+func (nopSink) EmitSpan(*obs.Span) {}
+
+// nopWrap is a WrapSink that replaces every sink with a nopSink.
+func nopWrap[K any](K, obs.SpanSink) obs.SpanSink { return nopSink{} }
+
+func renderAutoscaleAlerts(t *testing.T, workers int, tee bool) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
 	opts := autoscaleTestOptions()
-	opts.Stream = stream
+	if tee {
+		opts.WrapSink = nopWrap[string]
+	}
 	opts.Alerts = &alerts
 	if err := Autoscale(&art, opts); err != nil {
-		t.Fatalf("Autoscale with %d workers (stream=%v): %v", workers, stream, err)
+		t.Fatalf("Autoscale with %d workers (tee=%v): %v", workers, tee, err)
 	}
 	return alerts.Bytes()
 }
@@ -49,20 +60,22 @@ func TestAutoscaleAlertsArtifactDeterminism(t *testing.T) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
 	}
 	if str := renderAutoscaleAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("streaming alerts artifact differs from snapshot:\n%s", firstDiff(seq, str))
+		t.Fatalf("alerts artifact with span sinks attached differs:\n%s", firstDiff(seq, str))
 	}
 }
 
-func renderFleetAlerts(t *testing.T, workers int, stream bool) []byte {
+func renderFleetAlerts(t *testing.T, workers int, tee bool) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
 	opts := fleetTestOptions()
-	opts.Stream = stream
+	if tee {
+		opts.WrapSink = nopWrap[string]
+	}
 	opts.Alerts = &alerts
 	if err := Fleet(&art, opts); err != nil {
-		t.Fatalf("Fleet with %d workers (stream=%v): %v", workers, stream, err)
+		t.Fatalf("Fleet with %d workers (tee=%v): %v", workers, tee, err)
 	}
 	return alerts.Bytes()
 }
@@ -88,18 +101,21 @@ func TestFleetAlertsArtifactDeterminism(t *testing.T) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
 	}
 	if str := renderFleetAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("streaming alerts artifact differs from snapshot:\n%s", firstDiff(seq, str))
+		t.Fatalf("alerts artifact with span sinks attached differs:\n%s", firstDiff(seq, str))
 	}
 }
 
-func renderScaleAlerts(t *testing.T, workers int, stream bool) []byte {
+func renderScaleAlerts(t *testing.T, workers int, tee bool) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
-	opts := ScaleOptions{Tasks: 8000, Shards: 4, Seed: 3, Stream: stream, Alerts: &alerts}
+	opts := ScaleOptions{Tasks: 8000, Shards: 4, Seed: 3, Alerts: &alerts}
+	if tee {
+		opts.WrapSink = nopWrap[int]
+	}
 	if err := Scale(&art, opts); err != nil {
-		t.Fatalf("Scale with %d workers (stream=%v): %v", workers, stream, err)
+		t.Fatalf("Scale with %d workers (tee=%v): %v", workers, tee, err)
 	}
 	return alerts.Bytes()
 }
@@ -121,6 +137,6 @@ func TestScaleAlertsArtifactDeterminism(t *testing.T) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
 	}
 	if str := renderScaleAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("streaming alerts artifact differs from snapshot:\n%s", firstDiff(seq, str))
+		t.Fatalf("alerts artifact with span sinks attached differs:\n%s", firstDiff(seq, str))
 	}
 }

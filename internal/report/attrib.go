@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
@@ -12,14 +13,17 @@ import (
 // writes the selected attribution artifacts: the machine-readable
 // attribution JSON (consumed by tracediff) to attribW, folded
 // flamegraph stacks to flameW, and the SLO alert stream to alertsW.
-// Any writer may be nil to skip that artifact; slo is the burn-rate
-// spec ("" disables the monitor, leaving the alert stream empty).
+// An analyze.Streamer per cell attributes tasks as the spans end. Any
+// writer may be nil to skip that artifact; slo is the burn-rate spec
+// ("" disables the monitor, leaving the alert stream empty).
 func AttributionArtifacts(attribW, flameW, alertsW io.Writer, completions int, slo string) error {
-	collectors, err := ObservedCollectors(completions, slo)
-	if err != nil {
+	streamers := make([]*analyze.Streamer, numObservedCells)
+	if _, err := runObservedGrid(completions, slo, func(i int, _ string, c *obs.Collector) {
+		streamers[i] = analyze.NewStreamer(c)
+	}); err != nil {
 		return err
 	}
-	rep := analyze.Analyze(collectors...)
+	rep := analyze.BuildReport(streamers...)
 	if attribW != nil {
 		if err := rep.WriteJSON(attribW); err != nil {
 			return err
@@ -31,11 +35,22 @@ func AttributionArtifacts(attribW, flameW, alertsW io.Writer, completions int, s
 		}
 	}
 	if alertsW != nil {
-		if err := analyze.WriteAlerts(alertsW, collectors...); err != nil {
-			return err
-		}
+		return analyze.WriteAlerts(alertsW, streamers...)
 	}
 	return nil
+}
+
+// table1Attribution reruns the Table 1 bursts instrumented and
+// attributes them, returning the report and the bursts' collectors.
+func table1Attribution() (*analyze.Report, []*obs.Collector, error) {
+	streamers := make([]*analyze.Streamer, len(core.Table1Modes))
+	_, cols, err := core.RunTable1ObservedHook(true, "", func(i int, c *obs.Collector) {
+		streamers[i] = analyze.NewStreamer(c)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return analyze.BuildReport(streamers...), cols, nil
 }
 
 // Attribution renders the human-readable latency-attribution section:
@@ -45,11 +60,10 @@ func AttributionArtifacts(attribW, flameW, alertsW io.Writer, completions int, s
 // gap phase by phase.
 func Attribution(w io.Writer, completions int) error {
 	header(w, "Latency attribution — where each task's time goes, per multiplexing technique")
-	_, collectors, err := core.RunTable1Observed(true, "")
+	rep, _, err := table1Attribution()
 	if err != nil {
 		return err
 	}
-	rep := analyze.Analyze(collectors...)
 	fmt.Fprintf(w, "\nblame profiles (mean ms per task per phase; %d tasks total):\n\n", len(rep.Tasks))
 	if err := rep.WriteText(w); err != nil {
 		return err

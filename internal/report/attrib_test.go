@@ -34,7 +34,7 @@ func TestAttributionInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented bursts in -short mode")
 	}
-	_, collectors, err := core.RunTable1Observed(true, "")
+	t1, collectors, err := table1Attribution()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +44,18 @@ func TestAttributionInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := core.RunPhaseShift(core.PhaseShiftConfig{Observe: true, Repart: &spec})
+	var st *analyze.Streamer
+	ps, err := core.RunPhaseShift(core.PhaseShiftConfig{
+		Observe: true, Repart: &spec,
+		OnPlatform: func(pl *core.Platform) { st = analyze.NewStreamer(pl.Obs) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps.Obs.SetScope("phaseshift/controller")
-	collectors = append(collectors, ps.Obs)
 
-	rep := analyze.Analyze(collectors...)
+	rep := analyze.BuildReport(st)
+	rep.Tasks = append(t1.Tasks, rep.Tasks...)
 	if len(rep.Tasks) == 0 {
 		t.Fatal("no tasks attributed")
 	}
@@ -93,7 +97,7 @@ func TestObservedCollectorsDrainCleanly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented grid in -short mode")
 	}
-	collectors, err := ObservedCollectors(2, "llama-complete:10s:0.9")
+	collectors, err := runObservedGrid(2, "llama-complete:10s:0.9", func(int, string, *obs.Collector) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +111,10 @@ func TestTraceDiffKernelQueueStory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented bursts in -short mode")
 	}
-	_, collectors, err := core.RunTable1Observed(true, "")
+	rep, _, err := table1Attribution()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := analyze.Analyze(collectors...)
 	byScope := func(scope string) *analyze.Report {
 		sub := &analyze.Report{}
 		for _, ta := range rep.Tasks {

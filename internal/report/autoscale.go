@@ -19,14 +19,10 @@ type AutoscaleOptions struct {
 	GPUs    int
 	Horizon time.Duration
 	Seed    int64
-	// Stream attaches a streaming span sink to every cell so spans
-	// flush as they end instead of being retained. The artifact is
-	// byte-identical either way: every reported quantity is virtual.
-	Stream bool
-	// WrapSink, when set with Stream, wraps each cell's span sink —
-	// the live server tees its /spans tail in here. Ignored without
-	// Stream. Called from the cells' harness workers concurrently: it
-	// must be safe for concurrent use.
+	// WrapSink, when set, wraps each cell's span sink (base is nil:
+	// the cells export no spans of their own) — the live server tees
+	// its /spans tail in here. Called from the cells' harness workers
+	// concurrently: it must be safe for concurrent use.
 	WrapSink func(cell string, base obs.SpanSink) obs.SpanSink
 	// Telemetry attaches the live observability plane per cell (the
 	// cell label plays the fleet artifact's load role). Its OnCellDB
@@ -34,8 +30,7 @@ type AutoscaleOptions struct {
 	Telemetry *FleetTelemetry
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
-	// writer. Purely virtual: byte-identical at any -parallel level
-	// and under -stream.
+	// writer. Purely virtual: byte-identical at any -parallel level.
 	Alerts io.Writer
 }
 
@@ -61,7 +56,7 @@ func autoscaleGrid(gpus int) []autoscaleCell {
 // config echo, demand/outcome counts, served-latency percentiles, and
 // the GPU-seconds economics; then a verdict comparing the autoscaler
 // to each baseline on its axis. Every line is virtual —
-// byte-identical at any -parallel level and under -stream.
+// byte-identical at any -parallel level.
 func Autoscale(w io.Writer, opts AutoscaleOptions) error {
 	bw := bufio.NewWriter(w)
 	header(bw, "SLO-driven autoscaling — hybrid block scaling + admission control vs static provisioning")
@@ -85,11 +80,8 @@ func Autoscale(w io.Writer, opts AutoscaleOptions) error {
 				cfg.OnDB = func(db *tsdb.DB) { t.OnCellDB(label, db) }
 			}
 		}
-		if opts.Stream {
-			sink := obs.SpanSink(discardSink{})
-			if opts.WrapSink != nil {
-				sink = opts.WrapSink(label, sink)
-			}
+		if opts.WrapSink != nil {
+			sink := opts.WrapSink(label, nil)
 			cfg.OnCollector = func(c *obs.Collector) { c.SetSink(sink) }
 		}
 		res, err := core.RunAutoscale(cfg)

@@ -21,16 +21,18 @@ func autoscaleTestOptions() AutoscaleOptions {
 
 // TestAutoscaleDeterminism is the artifact's regression contract:
 // byte-identical at -parallel 1 and 4, across repeated parallel runs,
-// and under -stream.
+// and with span sinks attached.
 func TestAutoscaleDeterminism(t *testing.T) {
-	render := func(workers int, stream bool) []byte {
+	render := func(workers int, tee bool) []byte {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var b bytes.Buffer
 		opts := autoscaleTestOptions()
-		opts.Stream = stream
+		if tee {
+			opts.WrapSink = nopWrap[string]
+		}
 		if err := Autoscale(&b, opts); err != nil {
-			t.Fatalf("Autoscale with %d workers (stream=%v): %v", workers, stream, err)
+			t.Fatalf("Autoscale with %d workers (tee=%v): %v", workers, tee, err)
 		}
 		return b.Bytes()
 	}
@@ -48,7 +50,7 @@ func TestAutoscaleDeterminism(t *testing.T) {
 	}
 	str := render(4, true)
 	if !bytes.Equal(seq, str) {
-		t.Fatalf("streaming output differs from snapshot:\n%s", firstDiff(seq, str))
+		t.Fatalf("output with span sinks attached differs:\n%s", firstDiff(seq, str))
 	}
 }
 

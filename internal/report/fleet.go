@@ -21,23 +21,17 @@ type FleetOptions struct {
 	Duration       time.Duration
 	ArrivalRate    float64
 	Seed           int64
-	// Stream attaches a streaming span sink to every cell so spans
-	// flush as they end instead of being retained. The artifact is
-	// byte-identical either way: every reported quantity is virtual.
-	Stream bool
-	// WrapSink, when set with Stream, wraps each cell's span sink —
-	// the live server tees its /spans tail in here. Ignored without
-	// Stream (snapshot collection has no sink to tee). Called from the
-	// cells' harness workers concurrently: it must be safe for
-	// concurrent use.
+	// WrapSink, when set, wraps each cell's span sink (base is nil:
+	// the cells export no spans of their own) — the live server tees
+	// its /spans tail in here. Called from the cells' harness workers
+	// concurrently: it must be safe for concurrent use.
 	WrapSink func(load string, base obs.SpanSink) obs.SpanSink
 	// Telemetry attaches the live observability plane per load cell.
 	Telemetry *FleetTelemetry
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
 	// writer, forcing a per-cell tsdb store on if Telemetry hasn't
-	// already. Purely virtual: byte-identical at any -parallel level
-	// and under -stream.
+	// already. Purely virtual: byte-identical at any -parallel level.
 	Alerts io.Writer
 }
 
@@ -63,7 +57,7 @@ func fleetLoadLabel(m float64) string { return fmt.Sprintf("load%.1fx", m) }
 // grid and writes the artifact: per cell, the config echo, admission
 // and per-class SLO attainment, the fragmentation timeline, and the
 // rebalance ledger. Every line is virtual — byte-identical at any
-// -parallel level and under -stream.
+// -parallel level.
 func Fleet(w io.Writer, opts FleetOptions) error {
 	bw := bufio.NewWriter(w)
 	header(bw, "Fleet-scale placement — fragmentation-aware MIG+MPS packing")
@@ -89,11 +83,8 @@ func Fleet(w io.Writer, opts FleetOptions) error {
 		if opts.Alerts != nil && cfg.TSDB == nil {
 			cfg.TSDB = &tsdb.Config{}
 		}
-		if opts.Stream {
-			sink := obs.SpanSink(discardSink{})
-			if opts.WrapSink != nil {
-				sink = opts.WrapSink(label, sink)
-			}
+		if opts.WrapSink != nil {
+			sink := opts.WrapSink(label, nil)
 			cfg.OnCollector = func(c *obs.Collector) { c.SetSink(sink) }
 		}
 		res, err := core.RunFleet(cfg)

@@ -24,17 +24,19 @@ func fleetTestOptions() FleetOptions {
 
 // TestFleetDeterminism is the fleet artifact's regression contract:
 // the rendering is byte-identical at -parallel 1 and 4, across
-// repeated parallel runs, and under -stream (every reported line is
-// virtual, so neither scheduling nor collection mode may leak in).
+// repeated parallel runs, and with span sinks attached (every reported
+// line is virtual, so neither scheduling nor span export may leak in).
 func TestFleetDeterminism(t *testing.T) {
-	render := func(workers int, stream bool) []byte {
+	render := func(workers int, tee bool) []byte {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var b bytes.Buffer
 		opts := fleetTestOptions()
-		opts.Stream = stream
+		if tee {
+			opts.WrapSink = nopWrap[string]
+		}
 		if err := Fleet(&b, opts); err != nil {
-			t.Fatalf("Fleet with %d workers (stream=%v): %v", workers, stream, err)
+			t.Fatalf("Fleet with %d workers (tee=%v): %v", workers, tee, err)
 		}
 		return b.Bytes()
 	}
@@ -52,7 +54,7 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 	str := render(4, true)
 	if !bytes.Equal(seq, str) {
-		t.Fatalf("streaming output differs from snapshot:\n%s", firstDiff(seq, str))
+		t.Fatalf("output with span sinks attached differs:\n%s", firstDiff(seq, str))
 	}
 }
 

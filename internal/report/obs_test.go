@@ -31,7 +31,7 @@ func TestObservabilitySchema(t *testing.T) {
 		t.Skip("full instrumented grid in -short mode")
 	}
 	var tr, pr bytes.Buffer
-	if err := Observability(&tr, &pr, 2); err != nil {
+	if err := Observability(&tr, &pr, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +123,7 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var tr, pr bytes.Buffer
-		if err := Observability(&tr, &pr, 2); err != nil {
+		if err := Observability(&tr, &pr, 2, 0); err != nil {
 			t.Fatalf("Observability with %d workers: %v", workers, err)
 		}
 		return tr.Bytes(), pr.Bytes()

@@ -19,35 +19,23 @@ type ScaleOptions struct {
 	Tasks, Shards, Workers, Window int
 	ArrivalRate                    float64
 	Seed                           int64
-	// SampleMod enables deterministic span sampling in streaming mode
-	// (kept task trees ~1/SampleMod).
+	// SampleMod enables deterministic span sampling (kept task trees
+	// ~1/SampleMod).
 	SampleMod int
-	// Stream runs with per-shard streaming sinks (bounded collection
-	// memory); false keeps the snapshot collector.
-	Stream bool
-	// Compare runs the scenario twice — snapshot then streaming — and
-	// reports both, plus the events/sec delta. Implies Stream for the
-	// second run.
-	Compare bool
-	// TracePath, when set with Stream, spills each shard's Chrome
-	// trace section to a temp file during the run and splices them into
-	// one Perfetto-loadable artifact at this path.
+	// TracePath, when set, spills each shard's Chrome trace section to
+	// a temp file during the run (shards render concurrently) and
+	// splices them into one Perfetto-loadable artifact at this path.
 	TracePath string
 	// Telemetry forwards to core.ScaleConfig.Telemetry: per-shard tsdb
 	// stores and progress callbacks for the live observability plane.
-	// With Compare it attaches to the streaming run only (attaching the
-	// same shard scopes twice would double-register them).
 	Telemetry *core.ScaleTelemetry
-	// WrapSink, when set with Stream, wraps each shard's span sink —
-	// the live server tees its /spans tail in here. Ignored without
-	// Stream (snapshot collection has no sink to tee).
+	// WrapSink, when set, wraps each shard's span sink (nil without
+	// TracePath) — the live server tees its /spans tail in here.
 	WrapSink func(shard int, base obs.SpanSink) obs.SpanSink
 	// Alerts, when set, renders each shard's end-of-run alert-rule
 	// history (engine state + resolved incidents, shard order) to this
 	// writer, forcing per-shard tsdb stores on if Telemetry hasn't
-	// already. With Compare the shards reported are the streaming
-	// run's (telemetry attaches there only). Purely virtual:
-	// byte-identical at any -parallel level and under -stream.
+	// already. Purely virtual: byte-identical at any -parallel level.
 	Alerts io.Writer
 }
 
@@ -57,12 +45,6 @@ func (o ScaleOptions) config() core.ScaleConfig {
 		ArrivalRate: o.ArrivalRate, Seed: o.Seed, SampleMod: o.SampleMod,
 	}.WithDefaults()
 }
-
-// discardSink enables streaming collection without retaining the
-// rendered spans (the scenario's counters are the artifact).
-type discardSink struct{}
-
-func (discardSink) EmitSpan(*obs.Span) {}
 
 // scaleWall holds the wall-clock side of one run. These numbers vary
 // run to run; everything in core.ScaleResult is virtual and
@@ -112,40 +94,11 @@ func Scale(w io.Writer, opts ScaleOptions) error {
 		}
 		opts.Telemetry = &tel
 	}
-	if opts.Compare {
-		snapRes, snapWall, err := runScale(cfg, ScaleOptions{}, false)
-		if err != nil {
-			return err
-		}
-		writeScaleRun(bw, "snapshot", cfg, snapRes, snapWall)
-		strRes, strWall, err := runScale(cfg, opts, true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(bw)
-		writeScaleRun(bw, "streaming", cfg, strRes, strWall)
-		snapEPS, strEPS := snapWall.eventsPerSec(snapRes.Events), strWall.eventsPerSec(strRes.Events)
-		fmt.Fprintln(bw)
-		fmt.Fprintf(bw, "compare: events_per_sec snapshot=%.0f streaming=%.0f speedup=%+.1f%%\n",
-			snapEPS, strEPS, 100*(strEPS/snapEPS-1))
-		fmt.Fprintf(bw, "compare: retained_high_water snapshot=%d streaming=%d\n",
-			snapRes.MaxRetained, strRes.MaxRetained)
-		fmt.Fprintf(bw, "compare: alloc_bytes snapshot=%d streaming=%d\n",
-			snapWall.allocBytes, strWall.allocBytes)
-		if err := writeScaleAlerts(opts.Alerts, shardDBs); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	mode := "snapshot"
-	if opts.Stream {
-		mode = "streaming"
-	}
-	res, wall, err := runScale(cfg, opts, opts.Stream)
+	res, wall, err := runScale(cfg, opts)
 	if err != nil {
 		return err
 	}
-	writeScaleRun(bw, mode, cfg, res, wall)
+	writeScaleRun(bw, cfg, res, wall)
 	if err := writeScaleAlerts(opts.Alerts, shardDBs); err != nil {
 		return err
 	}
@@ -169,24 +122,25 @@ func writeScaleAlerts(w io.Writer, dbs []*tsdb.DB) error {
 }
 
 // runScale executes one scenario run, timing it and measuring
-// allocation deltas. In streaming mode with a trace path, each shard's
-// section spills to its own temp file as the run progresses, and the
-// files are spliced into the final artifact afterwards.
-func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.ScaleResult, scaleWall, error) {
+// allocation deltas. With a trace path, each shard's section spills to
+// its own temp file as the run progresses, and the files are spliced
+// into the final artifact afterwards.
+func runScale(cfg core.ScaleConfig, opts ScaleOptions) (*core.ScaleResult, scaleWall, error) {
 	tracePath := opts.TracePath
 	cfg.Telemetry = opts.Telemetry
 	var wall scaleWall
 	var files []*os.File
 	var writers []*bufio.Writer
 	var sections []*obs.TraceSection
-	if stream {
-		cfg = cfg.WithDefaults()
-		cfg.Sinks = make([]obs.SpanSink, cfg.Shards)
-		for i := range cfg.Sinks {
-			if tracePath == "" {
-				cfg.Sinks[i] = discardSink{}
-				continue
+	cfg.Sinks = make([]obs.SpanSink, cfg.Shards)
+	if tracePath != "" {
+		defer func() {
+			for _, f := range files {
+				f.Close()
+				os.Remove(f.Name())
 			}
+		}()
+		for i := range cfg.Sinks {
 			f, err := os.CreateTemp("", "scale-shard-*.trace")
 			if err != nil {
 				return nil, wall, err
@@ -198,17 +152,11 @@ func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.Scale
 			sections = append(sections, sec)
 			cfg.Sinks[i] = sec
 		}
-		if opts.WrapSink != nil {
-			for i := range cfg.Sinks {
-				cfg.Sinks[i] = opts.WrapSink(i, cfg.Sinks[i])
-			}
+	}
+	if opts.WrapSink != nil {
+		for i := range cfg.Sinks {
+			cfg.Sinks[i] = opts.WrapSink(i, cfg.Sinks[i])
 		}
-		defer func() {
-			for _, f := range files {
-				f.Close()
-				os.Remove(f.Name())
-			}
-		}()
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -222,7 +170,7 @@ func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.Scale
 	if err != nil {
 		return nil, wall, err
 	}
-	if stream && tracePath != "" {
+	if tracePath != "" {
 		for i, sec := range sections {
 			if err := sec.Err(); err != nil {
 				return nil, wall, err
@@ -253,11 +201,12 @@ func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.Scale
 }
 
 // writeScaleRun renders one run: config echo, deterministic virtual
-// lines, then wall-clock lines.
-func writeScaleRun(w io.Writer, mode string, cfg core.ScaleConfig, res *core.ScaleResult, wall scaleWall) {
+// lines, then wall-clock lines. Span collection always streams, so the
+// config echo's mode is fixed.
+func writeScaleRun(w io.Writer, cfg core.ScaleConfig, res *core.ScaleResult, wall scaleWall) {
 	c := cfg.WithDefaults()
-	fmt.Fprintf(w, "config: mode=%s tasks=%d shards=%d workers=%d window=%d arrival=%.0f/s seed=%d sample_mod=%d\n",
-		mode, res.Tasks, len(res.Shards), c.Workers, c.Window, c.ArrivalRate, c.Seed, c.SampleMod)
+	fmt.Fprintf(w, "config: mode=streaming tasks=%d shards=%d workers=%d window=%d arrival=%.0f/s seed=%d sample_mod=%d\n",
+		res.Tasks, len(res.Shards), c.Workers, c.Window, c.ArrivalRate, c.Seed, c.SampleMod)
 	fmt.Fprintf(w, "virtual: events=%d spans=%d retained_high_water=%d makespan=%s\n",
 		res.Events, res.Spans, res.MaxRetained, res.Makespan)
 	fmt.Fprintf(w, "virtual: latency p50=%s p90=%s p99=%s max=%s\n",

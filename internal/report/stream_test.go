@@ -2,100 +2,116 @@ package report
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
 )
 
-// stripModeTelemetry drops the collector self-telemetry families whose
-// values truthfully differ between the snapshot and streaming
-// pipelines — flush and sampling counters only advance when a sink is
-// attached, and the retained-window peak is the very quantity
-// streaming exists to shrink. Every other family must stay
-// byte-identical across modes.
-func stripModeTelemetry(prom []byte) []byte {
-	var out [][]byte
-	for _, line := range bytes.Split(prom, []byte("\n")) {
-		trimmed := bytes.TrimPrefix(line, []byte("# TYPE "))
-		if bytes.HasPrefix(trimmed, []byte("obs_spans_flushed_total")) ||
-			bytes.HasPrefix(trimmed, []byte("obs_spans_sampled_out_total")) ||
-			bytes.HasPrefix(trimmed, []byte("obs_spans_retained_peak")) {
-			continue
-		}
-		out = append(out, line)
-	}
-	return bytes.Join(out, []byte("\n"))
+// Goldens of the instrumented grid at completions 2 with the llama SLO,
+// captured from the retained-snapshot exporters before they were
+// retired (the streaming exporters matched them byte for byte, except
+// for the collector self-telemetry below). Artifacts over ~100 KB are
+// pinned by SHA-256; the small ones live in testdata/observed.
+const (
+	observedTraceSHA   = "cc4e2ca278f68c87192cdc5c76fdf3a6889c4c787194b65f7f7eb49ed4516607"
+	observedMetricsSHA = "5a76ea13a322fe618009c8deecf2dbf0314c482381d6c456cbaa2dda449649bd"
+	observedAttribSHA  = "544aa05e1b59b5282ccf810f9630366db94d331f32de9cbae61fa95da31e2687"
+)
+
+func sha(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-// TestStreamedArtifactsMatchSnapshot is the regression gate for the
-// streaming export path: every artifact — trace, metrics, attribution
-// JSON, folded flame stacks, and SLO alerts — must be byte-identical
-// whether the instrumented grid streams spans through per-cell sinks
-// or snapshots them, and identical again when the streamed run uses a
-// different harness worker count. With streaming off (the default CLI
-// configuration) the snapshot path here is exactly what ships, so this
-// also pins the artifact bytes across the refactor.
+// TestStreamedArtifactsMatchSnapshot pins every instrumented-rerun
+// artifact — trace, metrics, attribution JSON, folded flame stacks and
+// SLO alerts — to the goldens captured from the snapshot exporters,
+// at one and at four harness workers. The metrics golden carries the
+// streaming self-telemetry (obs_spans_flushed_total,
+// obs_spans_sampled_out_total, obs_spans_retained_peak): those three
+// families were the only ones the retired snapshot mode reported
+// differently.
 func TestStreamedArtifactsMatchSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented grid in -short mode")
 	}
 	const completions = 2
 	const slo = "llama-complete:2s:0.9"
-	type artifacts struct{ trace, prom, attrib, flame, alerts []byte }
-	render := func(workers int, streamed bool) artifacts {
+	wantFlame, err := os.ReadFile("testdata/observed/flame.folded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAlerts, err := os.ReadFile("testdata/observed/alerts.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(wantAlerts, []byte("llama-complete")) {
+		t.Fatalf("alerts golden has no llama-complete alert:\n%s", wantAlerts)
+	}
+	for _, workers := range []int{1, 4} {
 		prev := harness.SetParallelism(workers)
-		defer harness.SetParallelism(prev)
-		var a artifacts
 		var tr, pr, at, fl, al bytes.Buffer
-		var err error
-		if streamed {
-			err = ObservabilityStreamed(&tr, &pr, completions, 0)
-		} else {
-			err = Observability(&tr, &pr, completions)
-		}
-		if err != nil {
-			t.Fatalf("observability (workers=%d streamed=%v): %v", workers, streamed, err)
-		}
-		if streamed {
-			err = AttributionArtifactsStreamed(&at, &fl, &al, completions, slo)
-		} else {
+		err := Observability(&tr, &pr, completions, 0)
+		if err == nil {
 			err = AttributionArtifacts(&at, &fl, &al, completions, slo)
 		}
+		harness.SetParallelism(prev)
 		if err != nil {
-			t.Fatalf("attribution (workers=%d streamed=%v): %v", workers, streamed, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		a.trace, a.prom = tr.Bytes(), stripModeTelemetry(pr.Bytes())
-		a.attrib, a.flame, a.alerts = at.Bytes(), fl.Bytes(), al.Bytes()
-		return a
-	}
-	check := func(label string, want, got artifacts) {
-		t.Helper()
 		for _, c := range []struct {
-			name      string
-			want, got []byte
+			name, want string
+			got        []byte
 		}{
-			{"trace", want.trace, got.trace},
-			{"metrics", want.prom, got.prom},
-			{"attrib", want.attrib, got.attrib},
-			{"flame", want.flame, got.flame},
-			{"alerts", want.alerts, got.alerts},
+			{"trace", observedTraceSHA, tr.Bytes()},
+			{"metrics", observedMetricsSHA, pr.Bytes()},
+			{"attrib", observedAttribSHA, at.Bytes()},
 		} {
-			if len(c.want) == 0 {
-				t.Fatalf("%s: empty %s baseline", label, c.name)
-			}
-			if !bytes.Equal(c.want, c.got) {
-				t.Errorf("%s: %s differs (%d vs %d bytes):\n%s",
-					label, c.name, len(c.want), len(c.got), firstDiff(c.want, c.got))
+			if got := sha(c.got); got != c.want {
+				t.Errorf("workers=%d: %s sha256 = %s, want %s (%d bytes)", workers, c.name, got, c.want, len(c.got))
 			}
 		}
+		if !bytes.Equal(fl.Bytes(), wantFlame) {
+			t.Errorf("workers=%d: flame differs from golden:\n%s", workers, firstDiff(wantFlame, fl.Bytes()))
+		}
+		if !bytes.Equal(al.Bytes(), wantAlerts) {
+			t.Errorf("workers=%d: alerts differ from golden:\n%s", workers, firstDiff(wantAlerts, al.Bytes()))
+		}
 	}
-	snap := render(1, false)
-	// The SLO spec must actually fire, or the alerts comparison is
-	// trivially empty-vs-empty.
-	if !bytes.Contains(snap.alerts, []byte("llama-complete")) {
-		t.Fatalf("no alerts in baseline output:\n%s", snap.alerts)
+}
+
+// TestScaleVirtualGolden pins the virtual lines (everything but the
+// wall-clock "wall:" lines) of `paperbench scale -tasks 8000 -shards 4`
+// to the golden captured from the streaming run, at one and at four
+// harness workers.
+func TestScaleVirtualGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8000-task scale run in -short mode")
 	}
-	check("streamed sequential vs snapshot", snap, render(1, true))
-	// Transitively pins streamed parallel == streamed sequential too.
-	check("streamed parallel vs snapshot", snap, render(4, true))
+	want, err := os.ReadFile("testdata/scale_8000x4.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		prev := harness.SetParallelism(workers)
+		var b bytes.Buffer
+		err := Scale(&b, ScaleOptions{Tasks: 8000, Shards: 4})
+		harness.SetParallelism(prev)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var virt strings.Builder
+		for _, line := range strings.SplitAfter(b.String(), "\n") {
+			if !strings.HasPrefix(line, "wall:") {
+				virt.WriteString(line)
+			}
+		}
+		if got := []byte(virt.String()); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: scale virtual lines differ from golden:\n%s", workers, firstDiff(want, got))
+		}
+	}
 }
