@@ -29,8 +29,12 @@ check: build vet staticcheck test
 build:
 	$(GO) build ./...
 
+# The benchmark module (simbench/, its own go.mod) sits outside ./...
+# but compiles against the root packages, so it is vetted too: an API
+# change that breaks it fails here instead of in the benchmark run.
 vet:
 	$(GO) vet ./...
+	$(GO) -C simbench vet ./...
 
 # staticcheck is optional locally (no network installs in the dev
 # container) but mandatory in CI, which installs it on the runner.

@@ -38,7 +38,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/rightsize"
 	"repro/internal/simgpu"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -68,11 +67,17 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpufaas:", err)
-		if errors.Is(err, cli.ErrUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// exitCode maps a subcommand's error to the process exit status: 2 for
+// a command-line error, 1 for a failed run.
+func exitCode(err error) int {
+	if errors.Is(err, cli.ErrUsage) {
+		return 2
+	}
+	return 1
 }
 
 func usage() {
@@ -271,6 +276,9 @@ func runMultiplex(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cli.NonNegative(fs, "procs", "completions", "tokens", "sample"); err != nil {
+		return err
+	}
 	attribObserve, err := attrib.validate()
 	if err != nil {
 		return err
@@ -357,6 +365,9 @@ func runMolDesign(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cli.NonNegative(fs, "rounds", "batch", "initial", "pool"); err != nil {
+		return err
+	}
 	cfg := moldesign.DefaultConfig()
 	cfg.Rounds = *rounds
 	cfg.BatchSize = *batch
@@ -375,9 +386,7 @@ func runMolDesign(args []string) error {
 	}
 	fmt.Printf("GPU busy %.0f%% with %d idle gaps\n", res.GPUBusyFraction*100, res.GPUIdleGaps)
 	if *gantt {
-		fmt.Print(res.Trace.Gantt(trace.GanttOpts{Width: 100, GroupBy: "kind", Glyphs: map[string]rune{
-			"simulation": 'S', "training": 'T', "inference": 'I',
-		}}))
+		fmt.Print(res.Trace.Gantt(100))
 	}
 	return nil
 }
@@ -561,6 +570,9 @@ func runFleet(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cli.NonNegative(fs, "gpus80", "gpus40", "apps", "horizon", "rate"); err != nil {
+		return err
+	}
 	if *demands != "" {
 		return runFleetPack(*gpus80, *gpus40, *demands)
 	}
@@ -644,6 +656,9 @@ func runAutoscaleCell(args []string) error {
 	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address")
 	alertsOut := fs.String("alerts", "", "write the alert-rule history (autoscale pack + SLO burn) to this file")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cli.NonNegative(fs, "gpus", "static", "horizon", "hold"); err != nil {
 		return err
 	}
 	srv, err := startServe(*serveAddr)

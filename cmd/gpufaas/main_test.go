@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -107,4 +108,36 @@ func TestChaosAttributionGolden(t *testing.T) {
 	stdout := runCaptured(t, dir, runMultiplex, "-chaos", "seed=7,rate=0.5", "-attrib", attrib)
 	checkGolden(t, "chaos.stdout", stdout)
 	checkGolden(t, "chaos.attrib.json", readFile(t, attrib))
+}
+
+// TestMolDesignGolden pins the default moldesign campaign summary and
+// its phase timeline.
+func TestMolDesignGolden(t *testing.T) {
+	checkGolden(t, "moldesign.stdout", runCaptured(t, t.TempDir(), runMolDesign))
+}
+
+// TestNegativeFlagsRejected checks that negative counts and durations
+// are command-line errors (exit status 2) naming the flag, before
+// anything runs.
+func TestNegativeFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		run  func([]string) error
+		args []string
+		flag string
+	}{
+		{runFleet, []string{"-gpus80", "-3", "-gpus40", "2"}, "-gpus80"},
+		{runFleet, []string{"-gpus40", "-1", "-demands", "a:30:20"}, "-gpus40"},
+		{runFleet, []string{"-apps", "-1"}, "-apps"},
+		{runFleet, []string{"-horizon", "-1m"}, "-horizon"},
+		{runFleet, []string{"-rate", "-2"}, "-rate"},
+		{runAutoscaleCell, []string{"-gpus", "-2"}, "-gpus"},
+		{runAutoscaleCell, []string{"-static", "-1"}, "-static"},
+		{runAutoscaleCell, []string{"-horizon", "-1h"}, "-horizon"},
+		{runAutoscaleCell, []string{"-hold", "-1s"}, "-hold"},
+	} {
+		err := tc.run(tc.args)
+		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), tc.flag+" must not be negative") {
+			t.Errorf("%q: err = %v, want a usage error naming %s", tc.args, err, tc.flag)
+		}
+	}
 }

@@ -33,8 +33,9 @@ import (
 	"repro/internal/report"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: paperbench <artifact> [flags]
+// usageText is printed, with exit status 2, when the artifact is
+// missing or unknown.
+const usageText = `usage: paperbench <artifact> [flags]
 
 artifacts:
   fig1       per-layer FLOP variation of CNNs
@@ -138,26 +139,36 @@ fleet flags (-arrival and -seed apply here too):
                    (default 10m)
 
 autoscale flags (-horizon and -seed apply here too):
-  -gpus N          provider pool size, one GPU per node (default 6)`)
-	os.Exit(2)
-}
+  -gpus N          provider pool size, one GPU per node (default 6)
+
+Count, rate and duration flags must not be negative; 0 selects the
+default.`
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one paperbench invocation (args excludes the program
+// name) and returns the process exit status: 0 on success, 1 when a
+// run fails, 2 for a command-line error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		fmt.Fprintln(stderr, usageText)
+		return 2
 	}
-	artifact := os.Args[1]
+	artifact := args[0]
 	if artifact == "tracediff" {
-		if err := cli.TraceDiff("paperbench", os.Args[2:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: tracediff:", err)
+		if err := cli.TraceDiff("paperbench", args[1:], stdout, stderr); err != nil {
+			fmt.Fprintln(stderr, "paperbench: tracediff:", err)
 			if errors.Is(err, cli.ErrUsage) {
-				os.Exit(2)
+				return 2
 			}
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
-	fs := flag.NewFlagSet(artifact, flag.ExitOnError)
+	fs := flag.NewFlagSet(artifact, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	completions := fs.Int("completions", 100, "completions for the fig4/fig5 experiment")
 	csvDir := fs.String("csv", "", "also write figure CSV series into this directory")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max independent scenarios run concurrently")
@@ -182,29 +193,37 @@ func main() {
 	horizon := fs.Duration("horizon", 0, "fleet/autoscale: arrival horizon on the virtual clock")
 	gpus := fs.Int("gpus", 0, "autoscale: provider pool size (default 6)")
 	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address, e.g. 127.0.0.1:9190")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := cli.NonNegative(fs, "completions", "sample", "tasks", "shards", "workers",
+		"window", "arrival", "gpus80", "gpus40", "apps", "horizon", "gpus"); err != nil {
+		fmt.Fprintln(stderr, "paperbench:", err)
+		return 2
 	}
 	// scale/fleet/autoscale carry their own alert-rule packs, so -alerts
 	// stands alone there; everywhere else it renders the SLO monitor's
 	// stream and needs -slo rules to monitor.
 	scenarioArtifact := artifact == "scale" || artifact == "fleet" || artifact == "autoscale"
 	if *alertsOut != "" && *sloSpec == "" && !scenarioArtifact {
-		fmt.Fprintln(os.Stderr, "paperbench: -alerts requires -slo")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "paperbench: -alerts requires -slo")
+		return 2
 	}
 	if *sloSpec != "" {
 		if _, err := analyze.ParseSLOSpec(*sloSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -slo:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "paperbench: -slo:", err)
+			return 2
 		}
 	}
 	var repartSpec repart.Spec
 	if *repartFlag != "" {
 		spec, err := repart.ParseSpec(*repartFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -repart:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "paperbench: -repart:", err)
+			return 2
 		}
 		repartSpec = spec
 		core.SetRepart(&spec)
@@ -212,11 +231,11 @@ func main() {
 	if *chaos != "" {
 		spec, err := fault.ParseSpec(*chaos)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -chaos:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "paperbench: -chaos:", err)
+			return 2
 		}
 		core.SetChaos(&spec)
-		fmt.Fprintf(os.Stderr, "paperbench: chaos enabled (%s)\n", spec.String())
+		fmt.Fprintf(stderr, "paperbench: chaos enabled (%s)\n", spec.String())
 	}
 	harness.SetParallelism(*parallel)
 	// -serve: bind the live observability server before the run so its
@@ -226,20 +245,20 @@ func main() {
 		srv = live.NewServer()
 		bound, err := srv.Start(*serveAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -serve:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "paperbench: -serve:", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "paperbench: live observability on http://%s\n", bound)
+		fmt.Fprintf(stderr, "paperbench: live observability on http://%s\n", bound)
 		srv.Progress().SetPhase("running")
 	}
-	w := os.Stdout
+	w := stdout
 	var err error
 	var scenarioAlerts io.Writer
 	if *alertsOut != "" && scenarioArtifact {
 		f, ferr := os.Create(*alertsOut)
 		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -alerts:", ferr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "paperbench: -alerts:", ferr)
+			return 1
 		}
 		defer f.Close()
 		scenarioAlerts = f
@@ -334,7 +353,8 @@ func main() {
 	case "all":
 		err = report.All(w, *completions)
 	default:
-		usage()
+		fmt.Fprintln(stderr, usageText)
+		return 2
 	}
 	if err == nil && *csvDir != "" {
 		err = report.WriteFigureCSVs(*csvDir, *completions)
@@ -348,19 +368,20 @@ func main() {
 		err = writeAttribution(*attribOut, *flameOut, *alertsOut, *sloSpec, *completions)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "paperbench:", err)
+		return 1
 	}
 	if srv != nil {
 		// Keep serving the completed run's telemetry (CI and humans
 		// curl the endpoints after the fact) until interrupted.
 		srv.Progress().SetPhase("done")
-		fmt.Fprintln(os.Stderr, "paperbench: run complete; still serving — interrupt (Ctrl-C) to exit")
+		fmt.Fprintln(stderr, "paperbench: run complete; still serving — interrupt (Ctrl-C) to exit")
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		srv.Close()
 	}
+	return 0
 }
 
 // writeAttribution reruns the instrumented grid once and writes the

@@ -208,7 +208,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dfk := faas.NewDFK(env, faas.Config{Collector: col, DropCompleted: true}, ex)
+	dfk := faas.NewDFK(env, faas.Config{Collector: col}, ex)
 	kernel := simgpu.Kernel{Name: "infer", FLOPs: cfg.ServiceTime.Seconds() * spec.FP32FLOPS}
 	dfk.Register(faas.App{Name: "infer", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
 		ctx, err := inv.GPU()

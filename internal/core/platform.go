@@ -20,12 +20,10 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/gpuctl"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/tsdb"
 	"repro/internal/simgpu"
-	"repro/internal/trace"
 )
 
 // Options configures a Platform.
@@ -50,7 +48,7 @@ type Options struct {
 	WorkerInit time.Duration
 	// Observe turns on deep instrumentation: devent scheduler counters
 	// and per-kernel spans from the devices. Task and worker spans are
-	// always collected (the monitor is built on them).
+	// always collected.
 	Observe bool
 	// TaskTimeout is the per-task deadline passed to the DFK (0 = no
 	// deadlines, the seed behavior).
@@ -70,12 +68,10 @@ type Options struct {
 	// in this store (otherwise in a private one), so the slo:burn signal
 	// is queryable. Nil keeps the seed behavior exactly.
 	TSDB *tsdb.Config
-	// NoHistory disables whole-run retrospection so memory stays
-	// bounded by in-flight work instead of run length: the DFK drops
-	// completed task records, no Gantt trace bridge is installed, and
-	// the monitoring DB is not attached. Spans already stream out of
-	// memory as they end, so NoHistory runs are bounded-memory
-	// million-task runs.
+	// NoHistory has no effect: no platform keeps whole-run task
+	// history, so memory is always bounded by in-flight work.
+	//
+	// Deprecated: no effect; it will be removed.
 	NoHistory bool
 	// OnCollector, when set, is called with the platform's collector
 	// during assembly, before any span exists. Exporters use
@@ -138,10 +134,6 @@ type Platform struct {
 	Node      *gpuctl.Node
 	DFK       *faas.DFK
 	CPU       *htex.HTEX
-	Trace     *trace.Log
-	// Monitor is the attached Parsl-style monitoring DB (Listing 1's
-	// log_dir): per-app statistics, worker busy time, task history.
-	Monitor *monitor.DB
 	// Obs is the platform's collector: every span and metric from the
 	// DFK, executors, and (with Options.Observe) devices and scheduler.
 	Obs *obs.Collector
@@ -195,11 +187,10 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	fcfg := faas.Config{
-		RunDir:        "sim",
-		Retries:       o.Retries,
-		Timeout:       o.TaskTimeout,
-		Collector:     collector,
-		DropCompleted: o.NoHistory,
+		RunDir:    "sim",
+		Retries:   o.Retries,
+		Timeout:   o.TaskTimeout,
+		Collector: collector,
 	}
 	if o.RetryBackoff > 0 {
 		fcfg.RetryBackoff = o.RetryBackoff
@@ -219,20 +210,8 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Node:      node,
 		DFK:       dfk,
 		CPU:       cpu,
-		Trace:     &trace.Log{},
-		Monitor:   monitor.New(),
 		Obs:       collector,
 		opts:      o,
-	}
-	if !o.NoHistory {
-		// Worker-side run spans become the platform's Gantt trace (Fig. 3
-		// view): one span per execution attempt on the worker's track.
-		collector.OnSpanEnd(func(s obs.Span) {
-			if s.Cat == "htex" && s.Name == "run" {
-				pl.Trace.Add(trace.SpanFromObs(s))
-			}
-		})
-		pl.Monitor.Attach(dfk)
 	}
 	if o.TSDB != nil {
 		pl.TSDB = tsdb.New(collector.Metrics(), env, *o.TSDB)

@@ -20,11 +20,10 @@ func TestPlatformDefaults(t *testing.T) {
 	if pl.Devices[0].Spec().Name != "A100-SXM4-80GB" {
 		t.Fatalf("spec = %s", pl.Devices[0].Spec().Name)
 	}
-	if pl.Monitor == nil || pl.Trace == nil {
-		t.Fatal("monitor/trace not wired")
-	}
 }
 
+// TestPlatformMonitorRecordsTasks checks the record a task's future
+// holds once the platform has run it: app, status and run time.
 func TestPlatformMonitorRecordsTasks(t *testing.T) {
 	pl, err := NewPlatform(Options{DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()}})
 	if err != nil {
@@ -34,23 +33,18 @@ func TestPlatformMonitorRecordsTasks(t *testing.T) {
 		inv.Compute(time.Second)
 		return "hi", nil
 	}})
+	var fut *faas.Future
 	err = pl.Run(func(p *devent.Proc) error {
-		_, err := pl.DFK.Submit("hello").Result(p)
+		fut = pl.DFK.Submit("hello")
+		_, err := fut.Result(p)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Monitor.Len() != 1 {
-		t.Fatalf("monitor records = %d", pl.Monitor.Len())
-	}
-	apps := pl.Monitor.Apps()
-	if len(apps) != 1 || apps[0].App != "hello" || apps[0].RunTime.Mean() != time.Second {
-		t.Fatalf("apps = %+v", apps)
-	}
-	// Trace captured the same completion.
-	if pl.Trace.Len() != 1 {
-		t.Fatalf("trace spans = %d", pl.Trace.Len())
+	task := fut.Task()
+	if task.App != "hello" || task.Status != faas.TaskDone || task.RunTime() != time.Second {
+		t.Fatalf("task = %+v", task)
 	}
 }
 

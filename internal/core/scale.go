@@ -150,7 +150,7 @@ type ScaleResult struct {
 
 // RunMillionTask runs the sharded open-loop microtask scenario:
 // Poisson arrivals, exponential service times, a bounded in-flight
-// window, one NoHistory platform per shard. Shards execute through
+// window, one platform per shard. Shards execute through
 // harness.ShardMap, so wall-clock time scales with cores while every
 // returned field is byte-for-byte reproducible.
 func RunMillionTask(cfg ScaleConfig) (*ScaleResult, error) {
@@ -195,7 +195,7 @@ type shardScaleOut struct {
 	lats []time.Duration
 }
 
-// runScaleShard drives one shard: a fresh NoHistory platform with a
+// runScaleShard drives one shard: a fresh platform with a
 // CPU-only executor, streaming its spans to sink (nil discards them).
 func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardScaleOut, error) {
 	sr := shardScaleOut{ShardScaleResult: ShardScaleResult{Shard: shard, Tasks: tasks}}
@@ -208,7 +208,6 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 		// never touches it (pure CPU microtasks).
 		DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()},
 		CPUWorkers:  cfg.Workers,
-		NoHistory:   true,
 		TSDB:        tel.TSDB,
 	})
 	if err != nil {

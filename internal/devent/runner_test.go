@@ -45,20 +45,42 @@ func TestProcPanicKeepsRunner(t *testing.T) {
 	}
 }
 
-// liveGoroutines is runtime.NumGoroutine without the runners a
-// race-enabled build keeps in raceKept.
-func liveGoroutines() int {
+// runnerGoroutines counts the goroutines whose stacks run a devent
+// runner's loop, without the runners a race-enabled build keeps in
+// raceKept, and returns the all-goroutine dump it counted from.
+// Counting runners instead of runtime.NumGoroutine keeps the count
+// blind to the testing package's own goroutines: on a loaded host the
+// previous test's goroutine can still be exiting (runnable in
+// runtime.goexit1) when the next test takes its baseline.
+func runnerGoroutines() (int, string) {
 	raceKept.Lock()
 	defer raceKept.Unlock()
-	return runtime.NumGoroutine() - len(raceKept.runners)
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	dump := string(buf)
+	runners := 0
+	for _, g := range strings.Split(dump, "\n\n") {
+		if strings.Contains(g, "devent.(*runner).loop(") {
+			runners++
+		}
+	}
+	return runners - len(raceKept.runners), dump
 }
 
 // TestRunnerPoolBoundedAndReleased checks that spawn/exit churn reuses
 // runners, that a burst of exits keeps at most maxIdleRunners of them,
-// and that Run's return leaves one goroutine per parked proc and no
-// more.
+// and that Run's return leaves one runner goroutine per parked proc
+// and no more. A count mismatch reports the goroutine dumps it was
+// counted from.
 func TestRunnerPoolBoundedAndReleased(t *testing.T) {
-	before := liveGoroutines()
+	before, dumpBefore := runnerGoroutines()
 	env := NewEnv()
 	const parked = 3
 	never := env.NewEvent()
@@ -66,6 +88,7 @@ func TestRunnerPoolBoundedAndReleased(t *testing.T) {
 		env.Spawn("parked", func(p *Proc) { p.Wait(never) }).SetDaemon(true)
 	}
 	churnIdle, peak := -1, -1
+	var dumpPeak string
 	env.Spawn("spawner", func(p *Proc) {
 		for i := 0; i < 10000; i++ {
 			c := env.Spawn("child", func(p *Proc) { p.Yield() })
@@ -77,7 +100,8 @@ func TestRunnerPoolBoundedAndReleased(t *testing.T) {
 			burst[i] = env.Spawn("burst", func(p *Proc) { p.Sleep(time.Second) }).Done()
 		}
 		p.Wait(AllOf(env, burst...))
-		peak = liveGoroutines() - before
+		peak, dumpPeak = runnerGoroutines()
+		peak -= before
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -92,10 +116,13 @@ func TestRunnerPoolBoundedAndReleased(t *testing.T) {
 		idle = 2 * maxIdleRunners
 	}
 	if want := parked + 1 + idle; peak != want {
-		t.Errorf("goroutines after the burst = %d, want %d", peak, want)
+		t.Errorf("runner goroutines after the burst = %d, want %d\nbefore:\n%s\nafter the burst:\n%s",
+			peak, want, dumpBefore, dumpPeak)
 	}
-	if got := liveGoroutines() - before; got != parked {
-		t.Errorf("goroutines after Run = %d, want %d (one per parked proc)", got, parked)
+	after, dumpAfter := runnerGoroutines()
+	if got := after - before; got != parked {
+		t.Errorf("runner goroutines after Run = %d, want %d (one per parked proc)\nbefore:\n%s\nafter Run:\n%s",
+			got, parked, dumpBefore, dumpAfter)
 	}
 }
 

@@ -20,7 +20,6 @@ type DFK struct {
 	obs       *obs.Collector
 	executors map[string]Executor
 	apps      map[string]App
-	tasks     []*Task
 	hooks     []func(TaskEvent)
 	nextID    int
 	started   bool
@@ -188,9 +187,6 @@ func (d *DFK) Shutdown() {
 	d.started = false
 }
 
-// Tasks returns all task records in submission order.
-func (d *DFK) Tasks() []*Task { return append([]*Task(nil), d.tasks...) }
-
 // Submit schedules an app invocation. Arguments that are *Future
 // values are awaited and replaced by their results before dispatch; if
 // any fails, the task fails with ErrDependency without dispatching.
@@ -211,9 +207,6 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 		obs.String("app", appName),
 	)
 	d.obs.Metrics().Counter("faas_tasks_submitted_total", obs.L("app", appName)).Inc()
-	if !d.cfg.DropCompleted {
-		d.tasks = append(d.tasks, task)
-	}
 	done := d.env.NewNamedEvent(fmt.Sprintf("task-%d", task.ID))
 	fut := NewFuture(task, done)
 

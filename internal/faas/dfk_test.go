@@ -239,17 +239,17 @@ func TestTasksAccounting(t *testing.T) {
 	env := devent.NewEnv()
 	d, _ := newTestDFK(t, env, 0)
 	d.Register(App{Name: "fn", Executor: "stub", Fn: func(*Invocation) (any, error) { return nil, nil }})
+	var f1, f2 *Future
 	env.Spawn("main", func(p *devent.Proc) {
-		f1 := d.Submit("fn")
-		f2 := d.Submit("fn")
+		f1 = d.Submit("fn")
+		f2 = d.Submit("fn")
 		p.Wait(devent.AllOf(env, f1.Event(), f2.Event()))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tasks := d.Tasks()
-	if len(tasks) != 2 || tasks[0].ID == tasks[1].ID {
-		t.Fatalf("tasks = %+v", tasks)
+	if f1.Task() == nil || f2.Task() == nil || f1.Task().ID == f2.Task().ID {
+		t.Fatalf("tasks = %+v, %+v", f1.Task(), f2.Task())
 	}
 }
 

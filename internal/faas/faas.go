@@ -315,16 +315,9 @@ type Config struct {
 	RetryJitter float64
 	// Seed seeds the DFK's RNG (retry jitter); 0 means seed 1.
 	Seed int64
-	// DropCompleted stops the DFK from retaining task records: Tasks()
-	// returns nil and memory stays bounded by in-flight work instead of
-	// run length. Futures still hold their own *Task, and monitoring
-	// hooks still see every event, so only whole-run retrospection is
-	// lost. Million-task scenarios set this.
-	DropCompleted bool
 	// Collector receives task spans and metrics. Leave nil to have
-	// NewDFK create one — the DFK always has a collector, so
-	// monitoring (which derives its records from span events) works
-	// without further configuration.
+	// NewDFK create one: the DFK always has a collector, so task spans
+	// and counters are emitted without further configuration.
 	Collector *obs.Collector
 }
 

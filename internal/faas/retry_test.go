@@ -60,8 +60,9 @@ func TestTaskTimeout(t *testing.T) {
 	ex := &retryExecutor{env: env, label: "x", delay: 10 * time.Second,
 		fn: func(int) (any, error) { return "late", nil }}
 	var got error
+	var fut *Future
 	d := runDFK(t, Config{Retries: 3, Timeout: 2 * time.Second}, ex, func(p *devent.Proc, d *DFK) {
-		fut := d.Submit("fn")
+		fut = d.Submit("fn")
 		_, got = fut.Result(p)
 		if now := p.Now(); now != 2*time.Second {
 			t.Errorf("timed out at %v, want 2s", now)
@@ -70,7 +71,7 @@ func TestTaskTimeout(t *testing.T) {
 	if !errors.Is(got, ErrTaskTimeout) {
 		t.Fatalf("err = %v, want ErrTaskTimeout", got)
 	}
-	task := d.Tasks()[0]
+	task := fut.Task()
 	if task.Status != TaskTimedOut || !task.Status.Terminal() {
 		t.Fatalf("status = %v", task.Status)
 	}

@@ -280,8 +280,6 @@ func (c *Campaign) span(r colmena.Result, kind string) {
 		return
 	}
 	c.trace.Add(trace.Span{
-		Track: r.Task.Worker,
-		Label: r.Method,
 		Kind:  kind,
 		Start: r.Task.StartTime,
 		End:   r.Task.EndTime,

@@ -134,9 +134,7 @@ func Fig3(w io.Writer, cfg moldesign.Config) error {
 	fmt.Fprintf(w, "GPU busy fraction: %.0f%% (%d idle gaps — the \"white lines\" of Fig. 3)\n",
 		res.GPUBusyFraction*100, res.GPUIdleGaps)
 	fmt.Fprintln(w, "\ntimeline (S=simulation on CPU workers, T=training, I=inference on the GPU worker):")
-	fmt.Fprint(w, res.Trace.Gantt(trace.GanttOpts{Width: 100, GroupBy: "kind", Glyphs: map[string]rune{
-		"simulation": 'S', "training": 'T', "inference": 'I',
-	}}))
+	fmt.Fprint(w, res.Trace.Gantt(100))
 	fmt.Fprintf(w, "%10s  |%s| busy SMs (0..%d)\n", "gpu util",
 		trace.Sparkline(res.DeviceBusy, res.Makespan, 100, float64(res.DeviceSMs)), res.DeviceSMs)
 	// The paper's remark under Fig. 3: pipelining raises utilization.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,6 +56,23 @@ func TestFig3Report(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig3 output missing %q", want)
 		}
+	}
+}
+
+// TestFig3Golden pins the `paperbench fig3` artifact (default campaign)
+// to testdata/fig3_golden.txt byte for byte: the phase table, the Gantt
+// timeline and the GPU utilization sparkline.
+func TestFig3Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig3_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := Fig3(&b, moldesign.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("fig3 artifact differs from testdata/fig3_golden.txt:\n%s", firstDiff(want, b.Bytes()))
 	}
 }
 

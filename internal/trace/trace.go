@@ -1,13 +1,11 @@
-// Package trace collects execution spans (task phases, kernel runs)
-// and renders them as Gantt charts, CSV, and idle-time statistics —
-// the instrumentation behind the paper's Fig. 3, which shows the
-// molecular-design campaign's simulation/training/inference phases and
-// the GPU idle gaps between inference bursts.
+// Package trace is the paper's Fig. 3 timeline: it collects the
+// molecular-design campaign's task phases (simulation, training,
+// inference) and renders them as a Gantt chart with idle-time
+// statistics, showing the GPU idle gaps between inference bursts.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -15,13 +13,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// Span is one timed activity on a named track.
+// Span is one timed activity.
 type Span struct {
-	// Track is the row the span renders on (worker, device, phase).
-	Track string
-	// Label describes the activity (app name, kernel name).
-	Label string
-	// Kind groups spans for filtering and glyph selection
+	// Kind groups spans into Gantt rows and picks their glyph
 	// ("simulation", "training", "inference").
 	Kind string
 	// Start and End are virtual times.
@@ -48,9 +42,6 @@ func (l *Log) Add(s Span) {
 
 // Len returns the span count.
 func (l *Log) Len() int { return len(l.spans) }
-
-// Spans returns a copy of all spans.
-func (l *Log) Spans() []Span { return append([]Span(nil), l.spans...) }
 
 // OfKind returns the spans with the given kind.
 func (l *Log) OfKind(kind string) []Span {
@@ -168,20 +159,11 @@ func BusyFraction(spans []Span, from, to time.Duration) float64 {
 	return float64(busy) / float64(to-from)
 }
 
-// GanttOpts controls rendering.
-type GanttOpts struct {
-	// Width is the number of time columns (default 100).
-	Width int
-	// GroupBy chooses rows: "track" (default) or "kind".
-	GroupBy string
-	// Glyphs maps kind → rune; unknown kinds use '#'.
-	Glyphs map[string]rune
-}
-
-// Gantt renders the log as an ASCII chart, one row per track (or
-// kind), '.' for idle. Rows are sorted by name for determinism.
-func (l *Log) Gantt(opts GanttOpts) string {
-	width := opts.Width
+// Gantt renders the log as an ASCII chart width columns wide
+// (default 100), one row per kind, '.' for idle. A span draws with the
+// upper-cased first letter of its kind ('#' for no kind). Rows are
+// sorted by name for determinism.
+func (l *Log) Gantt(width int) string {
 	if width <= 0 {
 		width = 100
 	}
@@ -189,16 +171,10 @@ func (l *Log) Gantt(opts GanttOpts) string {
 	if makespan == 0 || len(l.spans) == 0 {
 		return "(empty trace)\n"
 	}
-	rowKey := func(s Span) string {
-		if opts.GroupBy == "kind" {
-			return s.Kind
-		}
-		return s.Track
-	}
 	rows := map[string][]rune{}
 	var order []string
 	for _, s := range l.spans {
-		key := rowKey(s)
+		key := s.Kind
 		if _, ok := rows[key]; !ok {
 			row := make([]rune, width)
 			for i := range row {
@@ -208,9 +184,7 @@ func (l *Log) Gantt(opts GanttOpts) string {
 			order = append(order, key)
 		}
 		glyph := '#'
-		if g, ok := opts.Glyphs[s.Kind]; ok {
-			glyph = g
-		} else if s.Kind != "" {
+		if s.Kind != "" {
 			glyph = rune(strings.ToUpper(s.Kind)[0])
 		}
 		lo := int(float64(s.Start) / float64(makespan) * float64(width))
@@ -235,28 +209,6 @@ func (l *Log) Gantt(opts GanttOpts) string {
 		fmt.Fprintf(&b, "%*s  |%s|\n", labelW, k, string(rows[k]))
 	}
 	return b.String()
-}
-
-// WriteCSV emits the spans as CSV (track,label,kind,start_s,end_s).
-func (l *Log) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "track,label,kind,start_s,end_s"); err != nil {
-		return err
-	}
-	for _, s := range l.spans {
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%.6f,%.6f\n",
-			csvEscape(s.Track), csvEscape(s.Label), csvEscape(s.Kind),
-			s.Start.Seconds(), s.End.Seconds()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }
 
 // KindSummary is per-kind aggregate statistics.

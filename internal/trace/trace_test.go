@@ -10,15 +10,15 @@ import (
 	"repro/internal/metrics"
 )
 
-func sp(track, kind string, start, end time.Duration) Span {
-	return Span{Track: track, Label: kind, Kind: kind, Start: start, End: end}
+func sp(kind string, start, end time.Duration) Span {
+	return Span{Kind: kind, Start: start, End: end}
 }
 
 func TestUnionMergesOverlaps(t *testing.T) {
 	ivs := Union([]Span{
-		sp("a", "x", 0, 2*time.Second),
-		sp("a", "x", 1*time.Second, 3*time.Second),
-		sp("a", "x", 5*time.Second, 6*time.Second),
+		sp("x", 0, 2*time.Second),
+		sp("x", 1*time.Second, 3*time.Second),
+		sp("x", 5*time.Second, 6*time.Second),
 	})
 	if len(ivs) != 2 {
 		t.Fatalf("ivs = %v", ivs)
@@ -29,7 +29,7 @@ func TestUnionMergesOverlaps(t *testing.T) {
 }
 
 func TestUnionIgnoresZeroSpans(t *testing.T) {
-	ivs := Union([]Span{sp("a", "x", time.Second, time.Second)})
+	ivs := Union([]Span{sp("x", time.Second, time.Second)})
 	if len(ivs) != 0 {
 		t.Fatalf("ivs = %v", ivs)
 	}
@@ -37,8 +37,8 @@ func TestUnionIgnoresZeroSpans(t *testing.T) {
 
 func TestGaps(t *testing.T) {
 	spans := []Span{
-		sp("a", "x", 1*time.Second, 2*time.Second),
-		sp("a", "x", 4*time.Second, 5*time.Second),
+		sp("x", 1*time.Second, 2*time.Second),
+		sp("x", 4*time.Second, 5*time.Second),
 	}
 	gaps := Gaps(spans, 0, 6*time.Second)
 	want := []Interval{{0, time.Second}, {2 * time.Second, 4 * time.Second}, {5 * time.Second, 6 * time.Second}}
@@ -53,7 +53,7 @@ func TestGaps(t *testing.T) {
 }
 
 func TestGapsFullyCovered(t *testing.T) {
-	spans := []Span{sp("a", "x", 0, 10*time.Second)}
+	spans := []Span{sp("x", 0, 10*time.Second)}
 	if gaps := Gaps(spans, 0, 10*time.Second); len(gaps) != 0 {
 		t.Fatalf("gaps = %v", gaps)
 	}
@@ -61,8 +61,8 @@ func TestGapsFullyCovered(t *testing.T) {
 
 func TestBusyFraction(t *testing.T) {
 	spans := []Span{
-		sp("a", "x", 0, 2*time.Second),
-		sp("b", "x", 1*time.Second, 3*time.Second), // overlap counts once
+		sp("x", 0, 2*time.Second),
+		sp("x", 1*time.Second, 3*time.Second), // overlap counts once
 	}
 	got := BusyFraction(spans, 0, 6*time.Second)
 	if math.Abs(got-0.5) > 1e-9 {
@@ -75,9 +75,9 @@ func TestBusyFraction(t *testing.T) {
 
 func TestLogBasics(t *testing.T) {
 	var l Log
-	l.Add(sp("w0", "training", 0, 2*time.Second))
-	l.Add(sp("w1", "inference", time.Second, 4*time.Second))
-	l.Add(Span{Track: "w1", Kind: "inference", Start: 5 * time.Second, End: 4 * time.Second}) // clamped
+	l.Add(sp("training", 0, 2*time.Second))
+	l.Add(sp("inference", time.Second, 4*time.Second))
+	l.Add(Span{Kind: "inference", Start: 5 * time.Second, End: 4 * time.Second}) // clamped
 	if l.Len() != 3 {
 		t.Fatalf("len = %d", l.Len())
 	}
@@ -95,70 +95,56 @@ func TestLogBasics(t *testing.T) {
 
 func TestGanttRendering(t *testing.T) {
 	var l Log
-	l.Add(sp("gpu0", "training", 0, 5*time.Second))
-	l.Add(sp("gpu0", "inference", 5*time.Second, 10*time.Second))
-	l.Add(sp("cpu0", "simulation", 0, 10*time.Second))
-	out := l.Gantt(GanttOpts{Width: 10})
+	l.Add(sp("training", 0, 5*time.Second))
+	l.Add(sp("inference", 5*time.Second, 10*time.Second))
+	l.Add(sp("simulation", 0, 10*time.Second))
+	out := l.Gantt(10)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 { // header + 2 tracks
+	if len(lines) != 4 { // header + 3 kinds, sorted by name
 		t.Fatalf("out:\n%s", out)
 	}
-	if !strings.Contains(lines[1], "cpu0") || !strings.Contains(lines[1], "SSSSSSSSSS") {
-		t.Fatalf("cpu row: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "TTTTTIIIII") {
-		t.Fatalf("gpu row: %q", lines[2])
+	for i, want := range []string{" inference  |.....IIIII|", "simulation  |SSSSSSSSSS|", "  training  |TTTTT.....|"} {
+		if lines[i+1] != want {
+			t.Fatalf("row %d = %q, want %q", i+1, lines[i+1], want)
+		}
 	}
 }
 
 func TestGanttGroupByKindAndGlyphs(t *testing.T) {
 	var l Log
-	l.Add(sp("w0", "training", 0, time.Second))
-	l.Add(sp("w1", "training", time.Second, 2*time.Second))
-	out := l.Gantt(GanttOpts{Width: 4, GroupBy: "kind", Glyphs: map[string]rune{"training": '*'}})
-	if !strings.Contains(out, "training") || !strings.Contains(out, "****") {
+	l.Add(sp("training", 0, time.Second))
+	l.Add(sp("training", time.Second, 2*time.Second))
+	l.Add(Span{Start: 0, End: 0})
+	out := l.Gantt(4)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	// Both training spans share one row; a kind-less span draws '#'.
+	if len(lines) != 3 || lines[1] != "          |#...|" || lines[2] != "training  |TTTT|" {
 		t.Fatalf("out:\n%s", out)
 	}
 }
 
 func TestGanttEmpty(t *testing.T) {
 	var l Log
-	if got := l.Gantt(GanttOpts{}); got != "(empty trace)\n" {
+	if got := l.Gantt(0); got != "(empty trace)\n" {
 		t.Fatalf("got %q", got)
 	}
 }
 
 func TestGanttTinySpanVisible(t *testing.T) {
 	var l Log
-	l.Add(sp("a", "x", 0, 100*time.Second))
-	l.Add(sp("b", "y", 50*time.Second, 50*time.Second+time.Millisecond))
-	out := l.Gantt(GanttOpts{Width: 20})
+	l.Add(sp("x", 0, 100*time.Second))
+	l.Add(sp("y", 50*time.Second, 50*time.Second+time.Millisecond))
+	out := l.Gantt(20)
 	if !strings.Contains(out, "Y") {
 		t.Fatalf("tiny span invisible:\n%s", out)
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var l Log
-	l.Add(Span{Track: "w,0", Label: `say "hi"`, Kind: "k", Start: 0, End: time.Second})
-	var b strings.Builder
-	if err := l.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "track,label,kind,start_s,end_s\n") {
-		t.Fatalf("header: %q", out)
-	}
-	if !strings.Contains(out, `"w,0","say ""hi""",k,0.000000,1.000000`) {
-		t.Fatalf("row: %q", out)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	var l Log
-	l.Add(sp("a", "training", 0, 2*time.Second))
-	l.Add(sp("b", "training", 1*time.Second, 3*time.Second))
-	l.Add(sp("a", "inference", 4*time.Second, 5*time.Second))
+	l.Add(sp("training", 0, 2*time.Second))
+	l.Add(sp("training", 1*time.Second, 3*time.Second))
+	l.Add(sp("inference", 4*time.Second, 5*time.Second))
 	sums := l.Summarize()
 	if len(sums) != 2 {
 		t.Fatalf("sums = %v", sums)
@@ -177,7 +163,7 @@ func TestQuickUnionGapsTile(t *testing.T) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			a := time.Duration(raw[i]) * time.Second
 			b := a + time.Duration(raw[i+1]%10)*time.Second
-			spans = append(spans, sp("t", "k", a, b))
+			spans = append(spans, sp("k", a, b))
 		}
 		window := 300 * time.Second
 		cov := Union(spans)
