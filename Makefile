@@ -1,5 +1,5 @@
-# Developer entry points. `make check` is the tier-1 gate (build, vet,
-# staticcheck when installed, test); `make race` reruns the tests under
+# Developer entry points. `make check` is the tier-1 gate (gofmt,
+# build, vet, staticcheck when installed, test); `make race` reruns the tests under
 # the race detector — the parallel harness and the chaos suite must
 # stay race-clean — and runs as its own CI job. `make cover` prints
 # per-package statement coverage. `make bench` regenerates the kernel,
@@ -22,9 +22,14 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race cover fuzz bench bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check bench-diff scale fleet autoscale attrib serve-smoke clean
+.PHONY: check fmt build vet staticcheck test race cover fuzz bench bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check bench-diff scale fleet autoscale attrib serve-smoke clean
 
-check: build vet staticcheck test
+check: fmt build vet staticcheck test
+
+# Fail when any Go file, simbench/ included, is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -16,13 +16,11 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cli"
@@ -30,8 +28,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/moldesign"
-	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 	"repro/internal/obs/live"
 	"repro/internal/obs/tsdb"
 	"repro/internal/repart"
@@ -40,247 +36,38 @@ import (
 	"repro/internal/simgpu"
 )
 
+var commands = []cli.Command{
+	{Name: "multiplex", Summary: "LLaMa services sharing one A100 under one technique", Run: runMultiplex},
+	{Name: "moldesign", Summary: "the molecular-design campaign and its phase timeline", Run: runMolDesign},
+	{Name: "sweep", Summary: "LLaMa-2 latency vs MPS percentage", Run: runSweep},
+	{Name: "pack", Summary: "plan MPS and MIG partitions for tenant demands", Run: runPack},
+	{Name: "fleet", Summary: "fleet placement: one-shot -demands packing or the seeded churn scenario", Run: runFleet},
+	{Name: "autoscale", Summary: "one serving cell under diurnal traffic, autoscaled or -static N", Run: runAutoscaleCell},
+	{Name: "repart", Summary: "phase-shifted tenants under the online controller or a static plan", Run: runRepart},
+	{Name: "tracediff", Summary: "compare two attribution JSON artifacts written with -attrib", Run: cli.TraceDiff},
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	var err error
-	switch os.Args[1] {
-	case "multiplex":
-		err = runMultiplex(os.Args[2:])
-	case "moldesign":
-		err = runMolDesign(os.Args[2:])
-	case "sweep":
-		err = runSweep(os.Args[2:])
-	case "pack":
-		err = runPack(os.Args[2:])
-	case "fleet":
-		err = runFleet(os.Args[2:])
-	case "autoscale":
-		err = runAutoscaleCell(os.Args[2:])
-	case "repart":
-		err = runRepart(os.Args[2:])
-	case "tracediff":
-		err = cli.TraceDiff("gpufaas", os.Args[2:], os.Stdout, os.Stderr)
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gpufaas:", err)
-		os.Exit(exitCode(err))
-	}
+	os.Exit(cli.Main("gpufaas", commands, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// exitCode maps a subcommand's error to the process exit status: 2 for
-// a command-line error, 1 for a failed run.
-func exitCode(err error) int {
-	if errors.Is(err, cli.ErrUsage) {
-		return 2
-	}
-	return 1
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: gpufaas <multiplex|moldesign|sweep|pack|fleet|autoscale|repart|tracediff> [flags]`)
-	os.Exit(2)
-}
-
-// writeArtifact creates path and hands the file to fn.
-func writeArtifact(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// startServe binds the live observability server when addr is
-// non-empty (nil server otherwise — every call site is nil-tolerant).
-func startServe(addr string) (*live.Server, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	srv := live.NewServer()
-	bound, err := srv.Start(addr)
-	if err != nil {
-		return nil, fmt.Errorf("-serve: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "gpufaas: live observability on http://%s\n", bound)
-	srv.Progress().SetPhase("running")
-	return srv, nil
-}
-
-// serveLinger keeps the completed run's telemetry served until the
-// process is interrupted, so the endpoints stay curl-able.
-func serveLinger(srv *live.Server) {
-	if srv == nil {
-		return
-	}
-	srv.Progress().SetPhase("done")
-	fmt.Fprintln(os.Stderr, "gpufaas: run complete; still serving — interrupt (Ctrl-C) to exit")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	srv.Close()
-}
-
-// attribFlags holds the per-run attribution/SLO flags shared by the
-// multiplex and repart subcommands.
-type attribFlags struct {
-	attrib, flame, slo, alerts *string
-}
-
-func addAttribFlags(fs *flag.FlagSet) attribFlags {
-	return attribFlags{
-		attrib: fs.String("attrib", "", "write the latency-attribution JSON for this run"),
-		flame:  fs.String("flame", "", "write folded flamegraph stacks for this run"),
-		slo:    fs.String("slo", "", "SLO burn-rate rules app:latency:target[:window], comma-separated"),
-		alerts: fs.String("alerts", "", "write the SLO alert stream for this run (requires -slo)"),
-	}
-}
-
-// validate checks flag consistency and reports whether the run needs
-// deep instrumentation for attribution.
-func (a attribFlags) validate() (observe bool, err error) {
-	if *a.alerts != "" && *a.slo == "" {
-		return false, fmt.Errorf("-alerts requires -slo")
-	}
-	if *a.slo != "" {
-		if _, err := analyze.ParseSLOSpec(*a.slo); err != nil {
-			return false, fmt.Errorf("-slo: %w", err)
-		}
-	}
-	return *a.attrib != "" || *a.flame != "" || *a.alerts != "", nil
-}
-
-// write exports the requested attribution artifacts from one run's
-// streamer (nil when validate reported no attribution output).
-func (a attribFlags) write(st *analyze.Streamer) error {
-	if st == nil {
-		return nil
-	}
-	rep := analyze.BuildReport(st)
-	if *a.attrib != "" {
-		if err := writeArtifact(*a.attrib, func(w *os.File) error {
-			return rep.WriteJSON(w)
-		}); err != nil {
-			return err
-		}
-	}
-	if *a.flame != "" {
-		if err := writeArtifact(*a.flame, func(w *os.File) error {
-			return analyze.WriteFolded(w, rep)
-		}); err != nil {
-			return err
-		}
-	}
-	if *a.alerts != "" {
-		if err := writeArtifact(*a.alerts, func(w *os.File) error {
-			return analyze.WriteAlerts(w, st)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// spanExports are the span consumers of one multiplex or repart run,
-// attached to its collector before the first span: the -trace artifact
-// (one section written straight into its file), the live span tail,
-// and the attribution streamer.
-type spanExports struct {
-	traceFile *os.File
-	trace     *obs.TraceStream
-	section   *obs.TraceSection
-	tail      *live.SpanTail
-	sample    int
-	attrib    bool
-	streamer  *analyze.Streamer
-}
-
-// newSpanExports creates the -trace file when tracePath is set.
-func newSpanExports(tracePath string, tail *live.SpanTail, sample int, attrib bool) (*spanExports, error) {
-	e := &spanExports{tail: tail, sample: sample, attrib: attrib}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		e.traceFile = f
-		e.trace = obs.NewTraceStream(f)
-	}
-	return e, nil
-}
-
-// attach wires the exports onto the platform's collector; the trace
-// section is named by the collector's scope.
-func (e *spanExports) attach(pl *core.Platform) {
-	c := pl.Obs
-	var sinks []obs.SpanSink
-	if e.trace != nil {
-		e.section = e.trace.Section(c.Scope())
-		sinks = append(sinks, e.section)
-	}
-	if e.tail != nil {
-		sinks = append(sinks, e.tail)
-	}
-	if len(sinks) > 0 {
-		c.SetSink(live.Tee(sinks...))
-	}
-	c.SetSampleMod(e.sample)
-	if e.attrib {
-		e.streamer = analyze.NewStreamer(c)
-	}
-}
-
-// finish flushes the collector's remaining spans (parked daemon
-// lifecycles included) into the sinks and completes the trace file.
-func (e *spanExports) finish(c *obs.Collector) error {
-	c.Close()
-	if e.trace == nil {
-		return nil
-	}
-	err := e.section.Err()
-	if cerr := e.trace.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := e.traceFile.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// abort closes the trace file of a run that failed.
-func (e *spanExports) abort() {
-	if e.traceFile != nil {
-		e.traceFile.Close()
-	}
-}
-
-func runMultiplex(args []string) error {
-	fs := flag.NewFlagSet("multiplex", flag.ExitOnError)
+func runMultiplex(env *cli.Env, args []string) error {
+	fs := env.Flags("multiplex")
 	mode := fs.String("mode", "mps", "timeshare | mps-default | mps | mig | vgpu")
 	procs := fs.Int("procs", 4, "concurrent model processes (1-4)")
 	completions := fs.Int("completions", 100, "total completions")
 	tokens := fs.Int("tokens", 20, "output tokens per completion")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file for this run")
-	metricsOut := fs.String("metrics", "", "write Prometheus text metrics for this run")
-	sample := fs.Int("sample", 0, "keep ~1/N of task trees in the trace")
 	chaos := fs.String("chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
 	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address, e.g. 127.0.0.1:9190")
-	attrib := addAttribFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	x := cli.AddRunExports(fs)
+	fs.IntVar(&x.Sample, "sample", 0, "keep ~1/N of task trees in the trace")
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := cli.NonNegative(fs, "procs", "completions", "tokens", "sample"); err != nil {
 		return err
 	}
-	attribObserve, err := attrib.validate()
-	if err != nil {
+	if err := x.Validate(); err != nil {
 		return err
 	}
 	cfg := core.MultiplexConfig{
@@ -288,81 +75,67 @@ func runMultiplex(args []string) error {
 		Processes:    *procs,
 		Completions:  *completions,
 		OutputTokens: *tokens,
-		Observe:      *traceOut != "" || *metricsOut != "" || attribObserve,
-		SLO:          *attrib.slo,
+		Observe:      x.Observe(),
+		SLO:          x.SLO,
 	}
 	if *chaos != "" {
 		spec, err := fault.ParseSpec(*chaos)
 		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
+			return cli.Usagef("-chaos: %v", err)
 		}
 		cfg.Chaos = &spec
 	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
-		return err
-	}
-	// -serve: the run's series store and a live span tail.
-	var tail *live.SpanTail
-	scope := fmt.Sprintf("multiplex/%s/p%d", cfg.Mode, cfg.Processes)
-	if srv != nil {
-		tail = srv.Tail(scope, 0)
-		cfg.TSDB = &tsdb.Config{}
-	}
-	exports, err := newSpanExports(*traceOut, tail, *sample, attribObserve)
-	if err != nil {
-		return err
-	}
-	cfg.OnPlatform = func(pl *core.Platform) {
-		srv.AttachDB(scope, pl.TSDB)
-		exports.attach(pl)
-	}
-	r, err := core.RunMultiplex(cfg)
-	if err != nil {
-		exports.abort()
-		return err
-	}
-	if err := exports.finish(r.Obs); err != nil {
-		return err
-	}
-	if *metricsOut != "" {
-		if err := writeArtifact(*metricsOut, func(w *os.File) error {
-			return obs.WritePrometheus(w, r.Obs)
-		}); err != nil {
+	return env.Serve(*serveAddr, func(srv *live.Server) error {
+		if srv != nil {
+			cfg.TSDB = &tsdb.Config{}
+		}
+		hook, err := x.Start(srv)
+		if err != nil {
 			return err
 		}
-	}
-	if err := attrib.write(exports.streamer); err != nil {
-		return err
-	}
-	fmt.Printf("mode=%s procs=%d completions=%d\n", r.Mode, r.Processes, r.Completions)
-	fmt.Printf("  preload (cold start, excluded): %.2fs\n", r.PreloadTime.Seconds())
-	fmt.Printf("  makespan:      %.2fs\n", r.Makespan.Seconds())
-	fmt.Printf("  throughput:    %.3f completions/s\n", r.Throughput)
-	fmt.Printf("  latency mean:  %.2fs  p50 %.2fs  p95 %.2fs  max %.2fs\n",
-		r.Latencies.Mean().Seconds(), r.Latencies.Percentile(50).Seconds(),
-		r.Latencies.Percentile(95).Seconds(), r.Latencies.Max().Seconds())
-	fmt.Printf("  utilization:   %.0f%%\n", r.Utilization*100)
-	if r.Checker != nil {
-		fmt.Printf("  chaos:         %d faults injected, %d completions failed terminally (outcomes %v)\n",
-			r.Faults, r.Failed, r.Checker.Outcomes())
-		if err := r.Checker.Err(); err != nil {
-			return fmt.Errorf("task-state invariant violated: %w", err)
+		cfg.OnPlatform = hook
+		r, err := core.RunMultiplex(cfg)
+		if err != nil {
+			return x.Abort(err)
 		}
-	}
-	serveLinger(srv)
-	return nil
+		if err := x.Finish(r.Obs, ""); err != nil {
+			return err
+		}
+		w := env.Stdout
+		fmt.Fprintf(w, "mode=%s procs=%d completions=%d\n", r.Mode, r.Processes, r.Completions)
+		fmt.Fprintf(w, "  preload (cold start, excluded): %.2fs\n", r.PreloadTime.Seconds())
+		fmt.Fprintf(w, "  makespan:      %.2fs\n", r.Makespan.Seconds())
+		fmt.Fprintf(w, "  throughput:    %.3f completions/s\n", r.Throughput)
+		fmt.Fprintf(w, "  latency mean:  %.2fs  p50 %.2fs  p95 %.2fs  max %.2fs\n",
+			r.Latencies.Mean().Seconds(), r.Latencies.Percentile(50).Seconds(),
+			r.Latencies.Percentile(95).Seconds(), r.Latencies.Max().Seconds())
+		fmt.Fprintf(w, "  utilization:   %.0f%%\n", r.Utilization*100)
+		if r.Checker != nil {
+			fmt.Fprintf(w, "  chaos:         %d faults injected, %d completions failed terminally (outcomes %v)\n",
+				r.Faults, r.Failed, r.Checker.Outcomes())
+			if err := r.Checker.Err(); err != nil {
+				return fmt.Errorf("task-state invariant violated: %w", err)
+			}
+		}
+		return nil
+	})
 }
 
-func runMolDesign(args []string) error {
-	fs := flag.NewFlagSet("moldesign", flag.ExitOnError)
+// molDesignFlags maps the moldesign.Config fields the moldesign
+// command sets to their flags.
+var molDesignFlags = map[string]string{
+	"Rounds": "rounds", "BatchSize": "batch", "InitialPool": "initial", "CandidatePool": "pool",
+}
+
+func runMolDesign(env *cli.Env, args []string) error {
+	fs := env.Flags("moldesign")
 	rounds := fs.Int("rounds", 4, "active-learning rounds")
 	batch := fs.Int("batch", 16, "simulations per round")
 	initial := fs.Int("initial", 32, "initial random simulations")
 	pool := fs.Int("pool", 4000, "candidates scored per round")
 	seed := fs.Int64("seed", 1, "campaign seed")
 	gantt := fs.Bool("gantt", true, "print the phase timeline")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := cli.NonNegative(fs, "rounds", "batch", "initial", "pool"); err != nil {
@@ -374,133 +147,107 @@ func runMolDesign(args []string) error {
 	cfg.InitialPool = *initial
 	cfg.CandidatePool = *pool
 	cfg.Seed = *seed
+	if err := cfg.Validate(); err != nil {
+		var ce *moldesign.ConfigError
+		if errors.As(err, &ce) && molDesignFlags[ce.Field] != "" {
+			return cli.Usagef("-%s %s", molDesignFlags[ce.Field], ce.Msg)
+		}
+		return err
+	}
 	res, err := core.RunMolDesign(cfg)
 	if err != nil {
 		return err
 	}
+	w := env.Stdout
 	rep := res.Report
-	fmt.Printf("campaign finished in %.1fs (virtual): dataset=%d best IP=%.3f (initial %.3f, pool mean %.3f)\n",
+	fmt.Fprintf(w, "campaign finished in %.1fs (virtual): dataset=%d best IP=%.3f (initial %.3f, pool mean %.3f)\n",
 		res.Makespan.Seconds(), rep.Dataset, rep.BestIP, rep.InitialBestIP, rep.PoolMeanIP)
 	for i, m := range rep.RoundBatchMeanIP {
-		fmt.Printf("  round %d selected-batch mean IP: %.3f\n", i+1, m)
+		fmt.Fprintf(w, "  round %d selected-batch mean IP: %.3f\n", i+1, m)
 	}
-	fmt.Printf("GPU busy %.0f%% with %d idle gaps\n", res.GPUBusyFraction*100, res.GPUIdleGaps)
+	fmt.Fprintf(w, "GPU busy %.0f%% with %d idle gaps\n", res.GPUBusyFraction*100, res.GPUIdleGaps)
 	if *gantt {
-		fmt.Print(res.Trace.Gantt(100))
+		fmt.Fprint(w, res.Trace.Gantt(100))
 	}
 	return nil
 }
 
-func runSweep(args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+func runSweep(env *cli.Env, args []string) error {
+	fs := env.Flags("sweep")
 	percentsArg := fs.String("percents", "5,10,15,19,25,37,50,75,100", "MPS percentages")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	var percents []int
 	for _, p := range strings.Split(*percentsArg, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
-			return fmt.Errorf("bad percentage %q", p)
+			return cli.Usagef("bad percentage %q", p)
 		}
 		percents = append(percents, v)
 	}
-	return report.Fig2(os.Stdout, percents)
+	return report.Fig2(env.Stdout, percents)
 }
 
 // runRepart runs the phase-shifted two-tenant scenario once, under a
 // static plan (-static) or under the online repartitioning controller
-// (-repart SPEC, or the controller defaults when both flags are unset).
-func runRepart(args []string) error {
-	fs := flag.NewFlagSet("repart", flag.ExitOnError)
+// (-spec SPEC, or the controller defaults when both flags are unset).
+func runRepart(env *cli.Env, args []string) error {
+	fs := env.Flags("repart")
 	specArg := fs.String("spec", "", "controller spec, e.g. policy=knee,interval=10s,delta=5")
 	static := fs.String("static", "", "run a static baseline instead: timeshare | mps-default | mps | mig | vgpu")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file for this run")
-	metricsOut := fs.String("metrics", "", "write Prometheus text metrics for this run")
 	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address, e.g. 127.0.0.1:9190")
-	attrib := addAttribFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	x := cli.AddRunExports(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *specArg != "" && *static != "" {
-		return fmt.Errorf("-spec and -static are mutually exclusive")
+		return cli.Usagef("-spec and -static are mutually exclusive")
 	}
-	attribObserve, err := attrib.validate()
-	if err != nil {
+	if err := x.Validate(); err != nil {
 		return err
 	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
-		return err
-	}
-	cfg := core.PhaseShiftConfig{
-		Observe: *traceOut != "" || *metricsOut != "" || attribObserve,
-		SLO:     *attrib.slo,
-	}
+	cfg := core.PhaseShiftConfig{Observe: x.Observe(), SLO: x.SLO}
 	if *static != "" {
 		cfg.Mode = core.Mode(*static)
 	} else {
 		spec, err := repart.ParseSpec(*specArg)
 		if err != nil {
-			return fmt.Errorf("-spec: %w", err)
+			return cli.Usagef("-spec: %v", err)
 		}
 		cfg.Repart = &spec
 	}
-	// -serve: the platform hook attaches the run's series store and a
-	// live span tail under the scope RunPhaseShift sets.
-	if srv != nil {
-		cfg.TSDB = &tsdb.Config{}
-	}
-	exports, err := newSpanExports(*traceOut, nil, 0, attribObserve)
-	if err != nil {
-		return err
-	}
-	cfg.OnPlatform = func(pl *core.Platform) {
+	return env.Serve(*serveAddr, func(srv *live.Server) error {
 		if srv != nil {
-			srv.AttachDB(pl.Obs.Scope(), pl.TSDB)
-			exports.tail = srv.Tail(pl.Obs.Scope(), 0)
+			cfg.TSDB = &tsdb.Config{}
 		}
-		exports.attach(pl)
-	}
-	r, err := core.RunPhaseShift(cfg)
-	if err != nil {
-		exports.abort()
-		return err
-	}
-	if err := exports.finish(r.Obs); err != nil {
-		return err
-	}
-	if *metricsOut != "" {
-		if err := writeArtifact(*metricsOut, func(w *os.File) error {
-			return obs.WritePrometheus(w, r.Obs)
-		}); err != nil {
+		hook, err := x.Start(srv)
+		if err != nil {
 			return err
 		}
-	}
-	if attribObserve {
-		scope := "repart/static-" + string(r.Mode)
+		cfg.OnPlatform = hook
+		r, err := core.RunPhaseShift(cfg)
+		if err != nil {
+			return x.Abort(err)
+		}
+		plan, scope := "static "+string(r.Mode), "repart/static-"+string(r.Mode)
 		if r.Repart {
-			scope = "repart/controller"
+			plan, scope = "online controller", "repart/controller"
 		}
-		r.Obs.SetScope(scope)
-		if err := attrib.write(exports.streamer); err != nil {
+		if err := x.Finish(r.Obs, scope); err != nil {
 			return err
 		}
-	}
-	plan := "static " + string(r.Mode)
-	if r.Repart {
-		plan = "online controller"
-	}
-	fmt.Printf("plan=%s\n", plan)
-	fmt.Printf("  preload (cold start, excluded): %.2fs\n", r.PreloadTime.Seconds())
-	fmt.Printf("  makespan:      %.2fs\n", r.Makespan.Seconds())
-	fmt.Printf("  latency mean:  %.2fs  p50 %.2fs  p95 %.2fs  max %.2fs\n",
-		r.Latencies.Mean().Seconds(), r.Latencies.Percentile(50).Seconds(),
-		r.Latencies.Percentile(95).Seconds(), r.Latencies.Max().Seconds())
-	fmt.Printf("  transitions:   %d\n", r.Transitions)
-	fmt.Printf("  weight cache:  %d hits, %d misses\n", r.CacheHits, r.CacheMisses)
-	serveLinger(srv)
-	return nil
+		w := env.Stdout
+		fmt.Fprintf(w, "plan=%s\n", plan)
+		fmt.Fprintf(w, "  preload (cold start, excluded): %.2fs\n", r.PreloadTime.Seconds())
+		fmt.Fprintf(w, "  makespan:      %.2fs\n", r.Makespan.Seconds())
+		fmt.Fprintf(w, "  latency mean:  %.2fs  p50 %.2fs  p95 %.2fs  max %.2fs\n",
+			r.Latencies.Mean().Seconds(), r.Latencies.Percentile(50).Seconds(),
+			r.Latencies.Percentile(95).Seconds(), r.Latencies.Max().Seconds())
+		fmt.Fprintf(w, "  transitions:   %d\n", r.Transitions)
+		fmt.Fprintf(w, "  weight cache:  %d hits, %d misses\n", r.CacheHits, r.CacheMisses)
+		return nil
+	})
 }
 
 // runPack plans a partitioning for a set of tenant demands:
@@ -509,16 +256,16 @@ func runRepart(args []string) error {
 //
 // Each -tenant is name:SMs:memGB. Both an MPS percentage plan and a
 // placement-validated MIG layout are printed.
-func runPack(args []string) error {
-	fs := flag.NewFlagSet("pack", flag.ExitOnError)
+func runPack(env *cli.Env, args []string) error {
+	fs := env.Flags("pack")
 	specName := fs.String("spec", "a100-80gb", "device spec (a100-40gb | a100-80gb)")
 	var tenants tenantFlags
 	fs.Var(&tenants, "tenant", "tenant demand as name:SMs:memGB (repeatable)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if len(tenants) == 0 {
-		return fmt.Errorf("pack needs at least one -tenant name:SMs:memGB")
+		return cli.Usagef("pack needs at least one -tenant name:SMs:memGB")
 	}
 	var spec simgpu.DeviceSpec
 	switch *specName {
@@ -527,25 +274,37 @@ func runPack(args []string) error {
 	case "a100-80gb":
 		spec = simgpu.A100SXM480GB()
 	default:
-		return fmt.Errorf("unknown spec %q", *specName)
+		return cli.Usagef("unknown spec %q", *specName)
 	}
+	w := env.Stdout
 	if mps, err := rightsize.PackMPS(spec, tenants); err != nil {
-		fmt.Printf("MPS plan: infeasible: %v\n", err)
+		fmt.Fprintf(w, "MPS plan: infeasible: %v\n", err)
 	} else {
-		fmt.Printf("MPS plan (total %d%%, oversubscribed=%v):\n", mps.TotalPercent, mps.Oversubscribed)
+		fmt.Fprintf(w, "MPS plan (total %d%%, oversubscribed=%v):\n", mps.TotalPercent, mps.Oversubscribed)
 		for _, a := range mps.Assignments {
-			fmt.Printf("  %-12s CUDA_MPS_ACTIVE_THREAD_PERCENTAGE=%d\n", a.Tenant, a.Percent)
+			fmt.Fprintf(w, "  %-12s CUDA_MPS_ACTIVE_THREAD_PERCENTAGE=%d\n", a.Tenant, a.Percent)
 		}
 	}
 	if mig, err := rightsize.PackMIG(spec, tenants); err != nil {
-		fmt.Printf("MIG plan: infeasible: %v\n", err)
+		fmt.Fprintf(w, "MIG plan: infeasible: %v\n", err)
 	} else {
-		fmt.Printf("MIG plan (layout %v):\n", mig.Layout)
+		fmt.Fprintf(w, "MIG plan (layout %v):\n", mig.Layout)
 		for _, a := range mig.Assignments {
-			fmt.Printf("  %-12s %s\n", a.Tenant, a.Profile)
+			fmt.Fprintf(w, "  %-12s %s\n", a.Tenant, a.Profile)
 		}
 	}
 	return nil
+}
+
+// writeAlerts renders a scenario's end-of-run alert-rule history to
+// path (nothing when path is empty).
+func writeAlerts(path string, db *tsdb.DB) error {
+	var out cli.Outputs
+	var err error
+	if w := out.Create(path); w != nil {
+		err = tsdb.WriteAlertHistory(w, "", db)
+	}
+	return out.Close(err)
 }
 
 // runFleet drives the fleet-layer packer directly. With -demands it
@@ -556,8 +315,8 @@ func runPack(args []string) error {
 //
 //	gpufaas fleet -gpus80 2 -gpus40 1 -demands "llama:30:20;resnet:10:1"
 //	gpufaas fleet -gpus80 64 -gpus40 64 -apps 56 -horizon 10m -serve :9190
-func runFleet(args []string) error {
-	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
+func runFleet(env *cli.Env, args []string) error {
+	fs := env.Flags("fleet")
 	gpus80 := fs.Int("gpus80", 0, "A100-80GB parts (default: 2 with -demands, 64 for the scenario)")
 	gpus40 := fs.Int("gpus40", 0, "A100-40GB parts (default: 1 with -demands, 64 for the scenario)")
 	demands := fs.String("demands", "", `pack a fixed tenant set: "name:SMs[:memGB];..." (e.g. "llama:30:20;resnet:10:1")`)
@@ -567,76 +326,64 @@ func runFleet(args []string) error {
 	seed := fs.Int64("seed", 0, "scenario: churn RNG seed (default 1)")
 	serveAddr := fs.String("serve", "", "scenario: serve live observability over HTTP on this address")
 	alertsOut := fs.String("alerts", "", "scenario: write the alert-rule history (fleet pack) to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := cli.NonNegative(fs, "gpus80", "gpus40", "apps", "horizon", "rate"); err != nil {
 		return err
 	}
 	if *demands != "" {
-		return runFleetPack(*gpus80, *gpus40, *demands)
-	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
-		return err
+		return runFleetPack(env.Stdout, *gpus80, *gpus40, *demands)
 	}
 	cfg := core.FleetConfig{
 		GPUs80: *gpus80, GPUs40: *gpus40, Apps: *apps,
 		Duration: *horizon, ArrivalRate: *rate, Seed: *seed,
 	}
-	if srv != nil {
-		cfg.TSDB = &tsdb.Config{}
-		cfg.OnDB = func(db *tsdb.DB) { srv.AttachDB("fleet", db) }
-		cfg.OnCollector = func(c *obs.Collector) { c.SetSink(srv.Tail("fleet", 0)) }
-	}
-	if *alertsOut != "" && cfg.TSDB == nil {
-		// The alert engine lives on the series store; -alerts forces one
-		// on even without -serve.
-		cfg.TSDB = &tsdb.Config{}
-	}
-	r, err := core.RunFleet(cfg)
-	if err != nil {
-		return err
-	}
-	if *alertsOut != "" {
-		if err := writeArtifact(*alertsOut, func(w *os.File) error {
-			return tsdb.WriteAlertHistory(w, "", r.TSDB)
-		}); err != nil {
+	return env.Serve(*serveAddr, func(srv *live.Server) error {
+		// The alert engine lives on the series store, so -alerts turns
+		// one on even without -serve.
+		if srv != nil || *alertsOut != "" {
+			cfg.TSDB = &tsdb.Config{}
+		}
+		cfg.OnDB, cfg.OnCollector = srv.Hooks("fleet")
+		r, err := core.RunFleet(cfg)
+		if err != nil {
 			return err
 		}
-	}
-	if srv != nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
-	}
-	fmt.Printf("fleet: %d GPUs, %d apps, horizon %s, seed %d\n",
-		r.GPUs, r.Apps, cfg.WithDefaults().Duration, cfg.WithDefaults().Seed)
-	fmt.Printf("  arrivals:      %d placed, %d rejected of %d (attainment %.1f%%)\n",
-		r.Placed, r.Rejected, r.Arrivals, r.Attainment*100)
-	for _, cs := range r.Classes {
-		att := 100.0
-		if cs.Arrivals > 0 {
-			att = 100 * float64(cs.Placed) / float64(cs.Arrivals)
+		if err := writeAlerts(*alertsOut, r.TSDB); err != nil {
+			return err
 		}
-		fmt.Printf("    %-9s %d/%d (%.1f%%)\n", cs.Class+":", cs.Placed, cs.Arrivals, att)
-	}
-	fmt.Printf("  peak tenants:  %d\n", r.PeakTenants)
-	if len(r.FragSeries) > 0 {
-		var peak float64
-		for _, p := range r.FragSeries {
-			if p.Frag > peak {
-				peak = p.Frag
+		if srv != nil {
+			r.Obs.Close() // flush parked daemon spans into the live tail
+		}
+		w := env.Stdout
+		fmt.Fprintf(w, "fleet: %d GPUs, %d apps, horizon %s, seed %d\n",
+			r.GPUs, r.Apps, cfg.WithDefaults().Duration, cfg.WithDefaults().Seed)
+		fmt.Fprintf(w, "  arrivals:      %d placed, %d rejected of %d (attainment %.1f%%)\n",
+			r.Placed, r.Rejected, r.Arrivals, r.Attainment*100)
+		for _, cs := range r.Classes {
+			att := 100.0
+			if cs.Arrivals > 0 {
+				att = 100 * float64(cs.Placed) / float64(cs.Arrivals)
 			}
+			fmt.Fprintf(w, "    %-9s %d/%d (%.1f%%)\n", cs.Class+":", cs.Placed, cs.Arrivals, att)
 		}
-		last := r.FragSeries[len(r.FragSeries)-1]
-		fmt.Printf("  fragmentation: peak %.4f, at horizon %.4f (%d MIG / %d MPS / %d empty GPUs)\n",
-			peak, last.Frag, last.MIG, last.MPS, last.Empty)
-	}
-	fmt.Printf("  rebalances:    %d (%d applied, %d tenants moved, max gap %.4f, %d scratch-infeasible)\n",
-		r.Rebalances, r.RebalancesApplied, r.Moved, r.MaxGap, r.ScratchInfeasible)
-	fmt.Printf("  drain:         %d evicted, final frag %.4f, makespan %s\n",
-		r.Evicted, r.FinalFrag, r.Makespan.Round(time.Millisecond))
-	serveLinger(srv)
-	return nil
+		fmt.Fprintf(w, "  peak tenants:  %d\n", r.PeakTenants)
+		if len(r.FragSeries) > 0 {
+			var peak float64
+			for _, p := range r.FragSeries {
+				peak = max(peak, p.Frag)
+			}
+			last := r.FragSeries[len(r.FragSeries)-1]
+			fmt.Fprintf(w, "  fragmentation: peak %.4f, at horizon %.4f (%d MIG / %d MPS / %d empty GPUs)\n",
+				peak, last.Frag, last.MIG, last.MPS, last.Empty)
+		}
+		fmt.Fprintf(w, "  rebalances:    %d (%d applied, %d tenants moved, max gap %.4f, %d scratch-infeasible)\n",
+			r.Rebalances, r.RebalancesApplied, r.Moved, r.MaxGap, r.ScratchInfeasible)
+		fmt.Fprintf(w, "  drain:         %d evicted, final frag %.4f, makespan %s\n",
+			r.Evicted, r.FinalFrag, r.Makespan.Round(time.Millisecond))
+		return nil
+	})
 }
 
 // runAutoscaleCell runs one serving cell of the SLO-driven autoscaling
@@ -646,8 +393,8 @@ func runFleet(args []string) error {
 //
 //	gpufaas autoscale -gpus 6 -horizon 2h -serve :9190
 //	gpufaas autoscale -gpus 6 -static 6 -horizon 2h
-func runAutoscaleCell(args []string) error {
-	fs := flag.NewFlagSet("autoscale", flag.ExitOnError)
+func runAutoscaleCell(env *cli.Env, args []string) error {
+	fs := env.Flags("autoscale")
 	gpus := fs.Int("gpus", 0, "provider pool size (default 6)")
 	static := fs.Int("static", 0, "provision this many blocks statically instead of autoscaling")
 	horizon := fs.Duration("horizon", 0, "traffic horizon on the virtual clock (default 2h)")
@@ -655,14 +402,10 @@ func runAutoscaleCell(args []string) error {
 	seed := fs.Int64("seed", 0, "traffic and shed RNG seed (default 1)")
 	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address")
 	alertsOut := fs.String("alerts", "", "write the alert-rule history (autoscale pack + SLO burn) to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := cli.NonNegative(fs, "gpus", "static", "horizon", "hold"); err != nil {
-		return err
-	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
 		return err
 	}
 	cfg := core.AutoscaleConfig{
@@ -671,62 +414,59 @@ func runAutoscaleCell(args []string) error {
 	if *horizon > 0 {
 		cfg.Traffic.Horizon = *horizon
 	}
-	if srv != nil {
-		cfg.TSDB = &tsdb.Config{}
-		cfg.OnDB = func(db *tsdb.DB) { srv.AttachDB("autoscale", db) }
-		cfg.OnCollector = func(c *obs.Collector) { c.SetSink(srv.Tail("autoscale", 0)) }
-	}
-	r, err := core.RunAutoscale(cfg)
-	if err != nil {
-		return err
-	}
-	if *alertsOut != "" {
-		// The autoscale cell always carries a series store, so the alert
-		// history is available with or without -serve.
-		if err := writeArtifact(*alertsOut, func(w *os.File) error {
-			return tsdb.WriteAlertHistory(w, "", r.TSDB)
-		}); err != nil {
+	return env.Serve(*serveAddr, func(srv *live.Server) error {
+		if srv != nil {
+			cfg.TSDB = &tsdb.Config{}
+		}
+		cfg.OnDB, cfg.OnCollector = srv.Hooks("autoscale")
+		r, err := core.RunAutoscale(cfg)
+		if err != nil {
 			return err
 		}
-	}
-	if srv != nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
-	}
-	mode := fmt.Sprintf("static %d blocks", cfg.StaticBlocks)
-	if r.Autoscaled {
-		mode = fmt.Sprintf("autoscaled %d..%d blocks", cfg.Policy.MinBlocks, r.Blocks)
-	}
-	fmt.Printf("autoscale: %d GPUs, %s, horizon %s, seed %d\n",
-		cfg.GPUs, mode, cfg.Traffic.Horizon, cfg.Seed)
-	fmt.Printf("  traffic:     %d users, peak %.2f req/s, period %s, %d bursts\n",
-		cfg.Traffic.Users, float64(cfg.Traffic.Users)*cfg.Traffic.PerUserRate,
-		cfg.Traffic.Period, len(cfg.Traffic.Bursts))
-	fmt.Printf("  demand:      %d arrivals, %d completed, %d good, %d shed, %d failed\n",
-		r.Arrivals, r.Completed, r.Good, r.Shed, r.Failed)
-	fmt.Printf("  slo:         %s@%.2f -> attainment %.1f%%, shed rate %.1f%%\n",
-		cfg.SLOLatency, cfg.SLOTarget, r.Attainment*100, r.ShedRate*100)
-	fmt.Printf("  latency:     p50 %s, p95 %s, p99 %s (served only)\n",
-		r.Latencies.Percentile(50).Round(time.Millisecond),
-		r.Latencies.Percentile(95).Round(time.Millisecond),
-		r.Latencies.Percentile(99).Round(time.Millisecond))
-	fmt.Printf("  economics:   %.0f GPU-seconds, %.2f per good task, %d cold starts (%.1f tasks each)\n",
-		r.GPUSeconds, r.GPUSecondsPerGood, r.ColdStarts, r.TasksPerColdStart)
-	fmt.Printf("  scaling:     %d out, %d in, peak %d blocks, final %d\n",
-		r.ScaleOuts, r.ScaleIns, r.PeakBlocks, r.FinalBlocks)
-	fmt.Printf("  makespan:    %s (%d events)\n", r.Makespan.Round(time.Millisecond), r.Events)
-	serveLinger(srv)
-	return nil
+		// The autoscale cell always carries a series store, so the alert
+		// history is available with or without -serve.
+		if err := writeAlerts(*alertsOut, r.TSDB); err != nil {
+			return err
+		}
+		if srv != nil {
+			r.Obs.Close() // flush parked daemon spans into the live tail
+		}
+		mode := fmt.Sprintf("static %d blocks", cfg.StaticBlocks)
+		if r.Autoscaled {
+			mode = fmt.Sprintf("autoscaled %d..%d blocks", cfg.Policy.MinBlocks, r.Blocks)
+		}
+		w := env.Stdout
+		fmt.Fprintf(w, "autoscale: %d GPUs, %s, horizon %s, seed %d\n",
+			cfg.GPUs, mode, cfg.Traffic.Horizon, cfg.Seed)
+		fmt.Fprintf(w, "  traffic:     %d users, peak %.2f req/s, period %s, %d bursts\n",
+			cfg.Traffic.Users, float64(cfg.Traffic.Users)*cfg.Traffic.PerUserRate,
+			cfg.Traffic.Period, len(cfg.Traffic.Bursts))
+		fmt.Fprintf(w, "  demand:      %d arrivals, %d completed, %d good, %d shed, %d failed\n",
+			r.Arrivals, r.Completed, r.Good, r.Shed, r.Failed)
+		fmt.Fprintf(w, "  slo:         %s@%.2f -> attainment %.1f%%, shed rate %.1f%%\n",
+			cfg.SLOLatency, cfg.SLOTarget, r.Attainment*100, r.ShedRate*100)
+		fmt.Fprintf(w, "  latency:     p50 %s, p95 %s, p99 %s (served only)\n",
+			r.Latencies.Percentile(50).Round(time.Millisecond),
+			r.Latencies.Percentile(95).Round(time.Millisecond),
+			r.Latencies.Percentile(99).Round(time.Millisecond))
+		fmt.Fprintf(w, "  economics:   %.0f GPU-seconds, %.2f per good task, %d cold starts (%.1f tasks each)\n",
+			r.GPUSeconds, r.GPUSecondsPerGood, r.ColdStarts, r.TasksPerColdStart)
+		fmt.Fprintf(w, "  scaling:     %d out, %d in, peak %d blocks, final %d\n",
+			r.ScaleOuts, r.ScaleIns, r.PeakBlocks, r.FinalBlocks)
+		fmt.Fprintf(w, "  makespan:    %s (%d events)\n", r.Makespan.Round(time.Millisecond), r.Events)
+		return nil
+	})
 }
 
 // runFleetPack is the -demands mode: a one-shot greedy pack with the
 // granted segments and the fragmentation they leave behind.
-func runFleetPack(n80, n40 int, spec string) error {
+func runFleetPack(w io.Writer, n80, n40 int, spec string) error {
 	if n80 <= 0 && n40 <= 0 {
 		n80, n40 = 2, 1
 	}
 	ds, err := fleet.ParseDemands(spec)
 	if err != nil {
-		return fmt.Errorf("-demands: %w", err)
+		return cli.Usagef("-demands: %v", err)
 	}
 	var specs []simgpu.DeviceSpec
 	for i := 0; i < n80; i++ {
@@ -739,20 +479,20 @@ func runFleetPack(n80, n40 int, spec string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("inventory: %d GPUs (%dx80GB + %dx40GB)\n", n80+n40, n80, n40)
+	fmt.Fprintf(w, "inventory: %d GPUs (%dx80GB + %dx40GB)\n", n80+n40, n80, n40)
 	for _, d := range ds {
 		p, err := cl.Place(d)
 		if err != nil {
-			fmt.Printf("  %-12s unplaceable: %v\n", d.Tenant, err)
+			fmt.Fprintf(w, "  %-12s unplaceable: %v\n", d.Tenant, err)
 			continue
 		}
 		seg := p.Segment
 		switch seg.Kind {
 		case fleet.SegMIG:
-			fmt.Printf("  %-12s %s  %s@slice%d  %d%% (%d SMs, %.1f GB)\n",
+			fmt.Fprintf(w, "  %-12s %s  %s@slice%d  %d%% (%d SMs, %.1f GB)\n",
 				d.Tenant, seg.GPU, seg.Profile, seg.Start, seg.Percent, seg.SMs, float64(seg.MemBytes)/1e9)
 		default:
-			fmt.Printf("  %-12s %s  whole-GPU MPS  %d%% (%d SMs, %.1f GB)\n",
+			fmt.Fprintf(w, "  %-12s %s  whole-GPU MPS  %d%% (%d SMs, %.1f GB)\n",
 				d.Tenant, seg.GPU, seg.Percent, seg.SMs, float64(seg.MemBytes)/1e9)
 		}
 	}
@@ -761,9 +501,9 @@ func runFleetPack(n80, n40 int, spec string) error {
 		if g.Mode == "empty" {
 			continue
 		}
-		fmt.Printf("fragmentation: %-6s %-5s %.4f\n", g.ID, g.Mode, g.Frag)
+		fmt.Fprintf(w, "fragmentation: %-6s %-5s %.4f\n", g.ID, g.Mode, g.Frag)
 	}
-	fmt.Printf("fragmentation: fleet mean %.4f over %d GPUs\n", rep.Fleet, len(rep.PerGPU))
+	fmt.Fprintf(w, "fragmentation: fleet mean %.4f over %d GPUs\n", rep.Fleet, len(rep.PerGPU))
 	return nil
 }
 

@@ -8,34 +8,30 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // repartTraceSHA pins the repart -trace artifact (~350 KB, too large
 // for testdata) captured from the retained-snapshot exporter.
 const repartTraceSHA = "da2091ff4fe47a7834ac39199d4ee7981e70032264e4a0a1551e9d470a86bb70"
 
-// runCaptured runs one subcommand with stdout redirected to a file in
-// dir and returns what it printed.
-func runCaptured(t *testing.T, dir string, run func([]string) error, args ...string) []byte {
+// run runs one gpufaas invocation and returns its exit status, stdout
+// and stderr.
+func run(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := cli.Main("gpufaas", commands, args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// runOK runs one invocation that must succeed and returns its stdout.
+func runOK(t *testing.T, args ...string) []byte {
 	t.Helper()
-	out := filepath.Join(dir, "stdout")
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
+	code, stdout, stderr := run(args...)
+	if code != 0 {
+		t.Fatalf("%q: exit %d: %s", args, code, stderr)
 	}
-	prev := os.Stdout
-	os.Stdout = f
-	err = run(args)
-	os.Stdout = prev
-	f.Close()
-	if err != nil {
-		t.Fatalf("%v: %v", args, err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return []byte(stdout)
 }
 
 // checkGolden compares got with testdata/name byte for byte.
@@ -66,7 +62,7 @@ func readFile(t *testing.T, path string) []byte {
 func TestMultiplexArtifactsGolden(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	stdout := runCaptured(t, dir, runMultiplex,
+	stdout := runOK(t, "multiplex",
 		"-procs", "2", "-completions", "8",
 		"-trace", p("trace.json"), "-metrics", p("metrics.prom"),
 		"-attrib", p("attrib.json"), "-flame", p("flame"),
@@ -84,7 +80,7 @@ func TestMultiplexArtifactsGolden(t *testing.T) {
 func TestRepartArtifactsGolden(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	stdout := runCaptured(t, dir, runRepart,
+	stdout := runOK(t, "repart",
 		"-trace", p("trace.json"), "-metrics", p("metrics.prom"),
 		"-attrib", p("attrib.json"), "-flame", p("flame"),
 		"-slo", "svc-a:300ms:0.9,svc-b:300ms:0.9", "-alerts", p("alerts"))
@@ -103,9 +99,8 @@ func TestRepartArtifactsGolden(t *testing.T) {
 // under seeded fault injection, where retries, restarts and terminal
 // failures all feed the attribution sweep.
 func TestChaosAttributionGolden(t *testing.T) {
-	dir := t.TempDir()
-	attrib := filepath.Join(dir, "attrib.json")
-	stdout := runCaptured(t, dir, runMultiplex, "-chaos", "seed=7,rate=0.5", "-attrib", attrib)
+	attrib := filepath.Join(t.TempDir(), "attrib.json")
+	stdout := runOK(t, "multiplex", "-chaos", "seed=7,rate=0.5", "-attrib", attrib)
 	checkGolden(t, "chaos.stdout", stdout)
 	checkGolden(t, "chaos.attrib.json", readFile(t, attrib))
 }
@@ -113,31 +108,98 @@ func TestChaosAttributionGolden(t *testing.T) {
 // TestMolDesignGolden pins the default moldesign campaign summary and
 // its phase timeline.
 func TestMolDesignGolden(t *testing.T) {
-	checkGolden(t, "moldesign.stdout", runCaptured(t, t.TempDir(), runMolDesign))
+	checkGolden(t, "moldesign.stdout", runOK(t, "moldesign"))
+}
+
+// TestLibraryCommandsGolden pins the stdout of the planning commands
+// and of small fleet and autoscale scenarios, with the -alerts files
+// of the latter, to goldens captured before the commands moved onto
+// the shared command table.
+func TestLibraryCommandsGolden(t *testing.T) {
+	checkGolden(t, "pack.stdout", runOK(t, "pack", "-tenant", "llama:21:18", "-tenant", "resnet:10:1"))
+	checkGolden(t, "sweep.stdout", runOK(t, "sweep"))
+	checkGolden(t, "fleet-demands.stdout", runOK(t, "fleet", "-demands", "llama:30:20;resnet:10:1"))
+
+	dir := t.TempDir()
+	alerts := filepath.Join(dir, "fleet.alerts")
+	checkGolden(t, "fleet.stdout", runOK(t, "fleet",
+		"-gpus80", "8", "-gpus40", "8", "-apps", "16", "-horizon", "2m", "-alerts", alerts))
+	checkGolden(t, "fleet.alerts", readFile(t, alerts))
+
+	alerts = filepath.Join(dir, "autoscale.alerts")
+	checkGolden(t, "autoscale.stdout", runOK(t, "autoscale", "-gpus", "2", "-horizon", "10m", "-alerts", alerts))
+	checkGolden(t, "autoscale.alerts", readFile(t, alerts))
 }
 
 // TestNegativeFlagsRejected checks that negative counts and durations
 // are command-line errors (exit status 2) naming the flag, before
 // anything runs.
 func TestNegativeFlagsRejected(t *testing.T) {
-	for _, tc := range []struct {
-		run  func([]string) error
-		args []string
-		flag string
-	}{
-		{runFleet, []string{"-gpus80", "-3", "-gpus40", "2"}, "-gpus80"},
-		{runFleet, []string{"-gpus40", "-1", "-demands", "a:30:20"}, "-gpus40"},
-		{runFleet, []string{"-apps", "-1"}, "-apps"},
-		{runFleet, []string{"-horizon", "-1m"}, "-horizon"},
-		{runFleet, []string{"-rate", "-2"}, "-rate"},
-		{runAutoscaleCell, []string{"-gpus", "-2"}, "-gpus"},
-		{runAutoscaleCell, []string{"-static", "-1"}, "-static"},
-		{runAutoscaleCell, []string{"-horizon", "-1h"}, "-horizon"},
-		{runAutoscaleCell, []string{"-hold", "-1s"}, "-hold"},
+	for _, args := range [][]string{
+		{"fleet", "-gpus80", "-3", "-gpus40", "2"},
+		{"fleet", "-gpus40", "-1", "-demands", "a:30:20"},
+		{"fleet", "-apps", "-1"},
+		{"fleet", "-horizon", "-1m"},
+		{"fleet", "-rate", "-2"},
+		{"autoscale", "-gpus", "-2"},
+		{"autoscale", "-static", "-1"},
+		{"autoscale", "-horizon", "-1h"},
+		{"autoscale", "-hold", "-1s"},
 	} {
-		err := tc.run(tc.args)
-		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), tc.flag+" must not be negative") {
-			t.Errorf("%q: err = %v, want a usage error naming %s", tc.args, err, tc.flag)
+		flag := args[1]
+		code, stdout, stderr := run(args...)
+		if code != 2 || !strings.Contains(stderr, flag+" must not be negative") || stdout != "" {
+			t.Errorf("%q: exit %d, stderr %q, stdout %q; want exit 2 naming %s", args, code, stderr, stdout, flag)
+		}
+	}
+}
+
+// TestCommandLineErrors checks that every other command-line error —
+// a missing or unknown command, an unknown flag, an inconsistent or
+// malformed flag value, a campaign too small to run — exits with
+// status 2, names its cause on stderr in one line and runs nothing.
+func TestCommandLineErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{nil, "usage: gpufaas <command>"},
+		{[]string{"bogus"}, "usage: gpufaas <command>"},
+		{[]string{"multiplex", "-nope"}, "flag provided but not defined: -nope"},
+		{[]string{"multiplex", "-alerts", "out.alerts"}, "gpufaas: -alerts requires -slo"},
+		{[]string{"multiplex", "-slo", "nonsense"}, "gpufaas: -slo:"},
+		{[]string{"multiplex", "-chaos", "rate=abc"}, "gpufaas: -chaos:"},
+		{[]string{"repart", "-spec", "policy=bogus"}, "gpufaas: -spec:"},
+		{[]string{"repart", "-spec", "policy=knee", "-static", "mps"}, "mutually exclusive"},
+		{[]string{"pack"}, "pack needs at least one -tenant"},
+		{[]string{"sweep", "-percents", "5,x"}, "bad percentage"},
+		{[]string{"fleet", "-demands", "a:b"}, "gpufaas: -demands:"},
+		{[]string{"moldesign", "-pool", "0"}, "gpufaas: -pool must be at least the batch size (16), got 0\n"},
+		{[]string{"moldesign", "-batch", "0"}, "gpufaas: -batch must be at least 1, got 0\n"},
+		{[]string{"moldesign", "-initial", "0"}, "gpufaas: -initial must be at least 1, got 0\n"},
+		{[]string{"moldesign", "-rounds", "-1"}, "-rounds must not be negative"},
+		{[]string{"tracediff", "-a", "x.json"}, "tracediff needs -a and -b"},
+	} {
+		code, stdout, stderr := run(tc.args...)
+		if code != 2 {
+			t.Errorf("%q: exit %d, want 2 (stderr %q)", tc.args, code, stderr)
+		}
+		if !strings.Contains(stderr, tc.want) || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%q: stderr %q does not contain %q", tc.args, stderr, tc.want)
+		}
+		if stdout != "" {
+			t.Errorf("%q: printed %q to stdout", tc.args, stdout)
+		}
+	}
+}
+
+// TestHelpExitsZero checks that -h on every command lists its flags on
+// stderr and exits 0 without running anything.
+func TestHelpExitsZero(t *testing.T) {
+	for _, c := range commands {
+		code, stdout, stderr := run(c.Name, "-h")
+		if code != 0 || stdout != "" || !strings.Contains(stderr, "  -") {
+			t.Errorf("%s -h: exit %d, stdout %q, stderr %q", c.Name, code, stdout, stderr)
 		}
 	}
 }

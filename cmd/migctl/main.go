@@ -17,46 +17,44 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/devstate"
 	"repro/internal/gpuctl"
 	"repro/internal/simgpu"
 )
 
+var verbs = []string{"enable", "disable", "create", "destroy", "list", "profiles", "env"}
+
 func main() {
-	fs := flag.NewFlagSet("migctl", flag.ExitOnError)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one migctl invocation (args excludes the program name)
+// and returns the process exit status: 0 on success or -h, 1 when the
+// verb fails, 2 for a command-line error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("migctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	file := fs.String("f", "node.json", "node state file")
 	idx := fs.Int("i", 0, "device index")
 	profile := fs.String("profile", "", "MIG profile (create)")
 	uuid := fs.String("uuid", "", "instance UUID (destroy, env)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: migctl [flags] <enable|disable|create|destroy|list|profiles|env>")
+		fmt.Fprintf(stderr, "usage: migctl [flags] <%s>\n", strings.Join(verbs, "|"))
 		fs.PrintDefaults()
 	}
-	// Accept "migctl <verb> [flags]" and "migctl [flags] <verb>".
-	args := os.Args[1:]
-	verb := ""
-	if len(args) > 0 && args[0][0] != '-' {
-		verb, args = args[0], args[1:]
+	verb, err := cli.ParseVerb(fs, args, verbs)
+	if err == nil {
+		err = apply(stdout, verb, *file, *idx, *profile, *uuid)
 	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if verb == "" && fs.NArg() > 0 {
-		verb = fs.Arg(0)
-	}
-	if verb == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	if err := run(verb, *file, *idx, *profile, *uuid); err != nil {
-		fmt.Fprintln(os.Stderr, "migctl:", err)
-		os.Exit(1)
-	}
+	return cli.Exit("migctl", err, stderr)
 }
 
-func run(verb, file string, idx int, profile, uuid string) error {
+func apply(w io.Writer, verb, file string, idx int, profile, uuid string) error {
 	state, err := devstate.Load(file)
 	if err != nil {
 		return err
@@ -71,12 +69,12 @@ func run(verb, file string, idx int, profile, uuid string) error {
 		if err := dev.EnableMIG(); err != nil {
 			return err
 		}
-		fmt.Printf("MIG mode enabled on %s (requires GPU reset on real hardware)\n", dev.Name)
+		fmt.Fprintf(w, "MIG mode enabled on %s (requires GPU reset on real hardware)\n", dev.Name)
 	case "disable":
 		if err := dev.DisableMIG(); err != nil {
 			return err
 		}
-		fmt.Printf("MIG mode disabled on %s\n", dev.Name)
+		fmt.Fprintf(w, "MIG mode disabled on %s\n", dev.Name)
 	case "create":
 		if profile == "" {
 			return fmt.Errorf("create needs -profile")
@@ -85,7 +83,7 @@ func run(verb, file string, idx int, profile, uuid string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("created %s\n", u)
+		fmt.Fprintf(w, "created %s\n", u)
 	case "destroy":
 		if uuid == "" {
 			return fmt.Errorf("destroy needs -uuid")
@@ -93,16 +91,16 @@ func run(verb, file string, idx int, profile, uuid string) error {
 		if err := dev.DestroyInstance(uuid); err != nil {
 			return err
 		}
-		fmt.Printf("destroyed %s\n", uuid)
+		fmt.Fprintf(w, "destroyed %s\n", uuid)
 	case "list":
 		save = false
 		_, ins, err := dev.Materialize()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s (%s): MIG %v, %d instance(s)\n", dev.Name, dev.Spec, dev.MIGEnabled, len(ins))
+		fmt.Fprintf(w, "%s (%s): MIG %v, %d instance(s)\n", dev.Name, dev.Spec, dev.MIGEnabled, len(ins))
 		for _, in := range ins {
-			fmt.Printf("  %-30s profile %-8s slices %d-%d  %d SMs  %.0f GB\n",
+			fmt.Fprintf(w, "  %-30s profile %-8s slices %d-%d  %d SMs  %.0f GB\n",
 				in.UUID(), in.Profile().Name, in.StartSlice(),
 				in.StartSlice()+in.Profile().Slices-1, in.SMs(),
 				float64(in.Profile().MemBytes)/1e9)
@@ -115,11 +113,11 @@ func run(verb, file string, idx int, profile, uuid string) error {
 		}
 		profs := simgpu.MIGProfilesFor(spec)
 		if len(profs) == 0 {
-			fmt.Printf("%s has no MIG support\n", spec.Name)
+			fmt.Fprintf(w, "%s has no MIG support\n", spec.Name)
 			return nil
 		}
 		for _, p := range profs {
-			fmt.Printf("  %-8s %d compute slice(s), %d SMs, %.0f GB\n",
+			fmt.Fprintf(w, "  %-8s %d compute slice(s), %d SMs, %.0f GB\n",
 				p.Name, p.Slices, p.Slices*spec.SMsPerSlice, float64(p.MemBytes)/1e9)
 		}
 	case "env":
@@ -129,10 +127,8 @@ func run(verb, file string, idx int, profile, uuid string) error {
 		}
 		b := gpuctl.Binding{Accelerator: uuid}
 		for k, v := range b.Environ() {
-			fmt.Printf("export %s=%s\n", k, v)
+			fmt.Fprintf(w, "export %s=%s\n", k, v)
 		}
-	default:
-		return fmt.Errorf("unknown verb %q", verb)
 	}
 	if save {
 		return state.Save(file)

@@ -14,44 +14,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
+	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/devstate"
 	"repro/internal/gpuctl"
 )
 
+var verbs = []string{"start", "quit", "set-default", "status", "env"}
+
 func main() {
-	fs := flag.NewFlagSet("mpsctl", flag.ExitOnError)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one mpsctl invocation (args excludes the program name)
+// and returns the process exit status: 0 on success or -h, 1 when the
+// verb fails, 2 for a command-line error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpsctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	file := fs.String("f", "node.json", "node state file")
 	idx := fs.Int("i", 0, "device index")
 	pct := fs.Int("pct", 0, "GPU percentage (set-default, env)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mpsctl [flags] <start|quit|set-default|status|env>")
+		fmt.Fprintf(stderr, "usage: mpsctl [flags] <%s>\n", strings.Join(verbs, "|"))
 		fs.PrintDefaults()
 	}
-	args := os.Args[1:]
-	verb := ""
-	if len(args) > 0 && args[0][0] != '-' {
-		verb, args = args[0], args[1:]
+	verb, err := cli.ParseVerb(fs, args, verbs)
+	if err == nil {
+		err = apply(stdout, stderr, verb, *file, *idx, *pct)
 	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if verb == "" && fs.NArg() > 0 {
-		verb = fs.Arg(0)
-	}
-	if verb == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	if err := run(verb, *file, *idx, *pct); err != nil {
-		fmt.Fprintln(os.Stderr, "mpsctl:", err)
-		os.Exit(1)
-	}
+	return cli.Exit("mpsctl", err, stderr)
 }
 
-func run(verb, file string, idx, pct int) error {
+func apply(w, stderr io.Writer, verb, file string, idx, pct int) error {
 	state, err := devstate.Load(file)
 	if err != nil {
 		return err
@@ -71,7 +70,7 @@ func run(verb, file string, idx, pct int) error {
 			if d.MIGEnabled {
 				status = "unavailable (MIG mode)"
 			}
-			fmt.Printf("device %d %s (%s): MPS %s\n", i, d.Name, d.Spec, status)
+			fmt.Fprintf(w, "device %d %s (%s): MPS %s\n", i, d.Name, d.Spec, status)
 		}
 	case "start":
 		dev, err := state.Device(idx)
@@ -81,14 +80,14 @@ func run(verb, file string, idx, pct int) error {
 		if err := dev.StartMPS(); err != nil {
 			return err
 		}
-		fmt.Printf("nvidia-cuda-mps-control started on %s: clients now share the GPU spatially\n", dev.Name)
+		fmt.Fprintf(w, "nvidia-cuda-mps-control started on %s: clients now share the GPU spatially\n", dev.Name)
 	case "quit":
 		dev, err := state.Device(idx)
 		if err != nil {
 			return err
 		}
 		dev.QuitMPS()
-		fmt.Printf("MPS daemon on %s stopped: device back to time-sharing\n", dev.Name)
+		fmt.Fprintf(w, "MPS daemon on %s stopped: device back to time-sharing\n", dev.Name)
 	case "set-default":
 		dev, err := state.Device(idx)
 		if err != nil {
@@ -97,7 +96,7 @@ func run(verb, file string, idx, pct int) error {
 		if err := dev.SetMPSDefault(pct); err != nil {
 			return err
 		}
-		fmt.Printf("set_default_active_thread_percentage %d on %s\n", pct, dev.Name)
+		fmt.Fprintf(w, "set_default_active_thread_percentage %d on %s\n", pct, dev.Name)
 	case "env":
 		save = false
 		dev, err := state.Device(idx)
@@ -105,16 +104,14 @@ func run(verb, file string, idx, pct int) error {
 			return err
 		}
 		if !dev.MPSRunning {
-			fmt.Fprintln(os.Stderr, "note: MPS daemon not running — the percentage will be inert")
+			fmt.Fprintln(stderr, "note: MPS daemon not running — the percentage will be inert")
 		}
 		b := gpuctl.Binding{Accelerator: strconv.Itoa(idx), GPUPercent: pct}
 		for _, k := range []string{gpuctl.EnvVisibleDevices, gpuctl.EnvMPSThreadPct} {
 			if v, ok := b.Environ()[k]; ok {
-				fmt.Printf("export %s=%s\n", k, v)
+				fmt.Fprintf(w, "export %s=%s\n", k, v)
 			}
 		}
-	default:
-		return fmt.Errorf("unknown verb %q", verb)
 	}
 	if save {
 		return state.Save(file)

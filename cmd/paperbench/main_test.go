@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,8 +15,8 @@ func TestCommandLineErrors(t *testing.T) {
 		args []string
 		want string // substring of stderr
 	}{
-		{nil, "usage: paperbench <artifact>"},
-		{[]string{"bogus"}, "usage: paperbench <artifact>"},
+		{nil, "usage: paperbench <command>"},
+		{[]string{"bogus"}, "usage: paperbench <command>"},
 		{[]string{"fig4", "-nope"}, "flag provided but not defined: -nope"},
 		{[]string{"fig4", "-alerts", "out.alerts"}, "-alerts requires -slo"},
 		{[]string{"fig4", "-chaos", "rate=abc"}, "paperbench: -chaos:"},
@@ -56,5 +58,38 @@ func TestZeroMeansDefault(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "resnet50") {
 		t.Fatalf("fig1 output missing: %q", stdout.String())
+	}
+}
+
+// TestScenarioAlertsGolden pins the fleet and autoscale artifacts at a
+// small size, with their -alerts files, to goldens captured before the
+// artifacts moved onto the shared command table.
+func TestScenarioAlertsGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"fleet", []string{"fleet", "-gpus80", "8", "-gpus40", "8", "-apps", "16", "-horizon", "2m"}},
+		{"autoscale", []string{"autoscale", "-gpus", "2", "-horizon", "10m"}},
+	} {
+		alerts := filepath.Join(dir, tc.name+".alerts")
+		var stdout, stderr bytes.Buffer
+		if code := run(append(tc.args, "-alerts", alerts), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d: %s", tc.name, code, stderr.String())
+		}
+		got, err := os.ReadFile(alerts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for file, b := range map[string][]byte{tc.name + ".stdout": stdout.Bytes(), tc.name + ".alerts": got} {
+			want, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, want) {
+				t.Errorf("%s differs from golden (%d vs %d bytes)", file, len(b), len(want))
+			}
+		}
 	}
 }

@@ -184,9 +184,9 @@ type Controller struct {
 	// tick and read by the DFK hook on every Submit.
 	shedProb float64
 
-	lastOut  time.Duration
-	lastIn   time.Duration
-	idleFor  time.Duration
+	lastOut       time.Duration
+	lastIn        time.Duration
+	idleFor       time.Duration
 	lastSubmitted float64
 
 	// Block-seconds integration for the economics report: blocks held

@@ -2,12 +2,11 @@ package cli
 
 import (
 	"flag"
-	"fmt"
 	"time"
 )
 
 // NonNegative rejects a negative value in any of the named count, rate
-// or duration flags of fs, returning an ErrUsage error that names the
+// or duration flags of fs, returning a usage error that names the
 // first offending flag. Zero passes; most such flags read it as "use
 // the default".
 func NonNegative(fs *flag.FlagSet, names ...string) error {
@@ -25,7 +24,7 @@ func NonNegative(fs *flag.FlagSet, names ...string) error {
 			neg = v < 0
 		}
 		if neg {
-			return fmt.Errorf("%w: -%s must not be negative (got %s)", ErrUsage, name, f.Value)
+			return Usagef("-%s must not be negative (got %s)", name, f.Value)
 		}
 	}
 	return nil

@@ -36,7 +36,7 @@ func writeReport(t *testing.T, path string, compute, kq time.Duration) {
 func TestTraceDiffNeedsBothInputs(t *testing.T) {
 	for _, args := range [][]string{nil, {"-a", "x.json"}, {"-b", "y.json"}, {"-nope"}} {
 		var stdout, stderr bytes.Buffer
-		err := TraceDiff("prog", args, &stdout, &stderr)
+		err := TraceDiff(&Env{"prog", &stdout, &stderr}, args)
 		if !errors.Is(err, ErrUsage) {
 			t.Errorf("%v: err = %v, want ErrUsage", args, err)
 		}
@@ -55,7 +55,7 @@ func TestTraceDiffWritesJSON(t *testing.T) {
 	writeReport(t, a, 100*time.Millisecond, 300*time.Millisecond)
 	writeReport(t, b, 110*time.Millisecond, 20*time.Millisecond)
 	var stdout, stderr bytes.Buffer
-	if err := TraceDiff("prog", []string{"-a", a, "-b", b, "-o", out, "-label-a", "ts", "-label-b", "mps"}, &stdout, &stderr); err != nil {
+	if err := TraceDiff(&Env{"prog", &stdout, &stderr}, []string{"-a", a, "-b", b, "-o", out, "-label-a", "ts", "-label-b", "mps"}); err != nil {
 		t.Fatalf("TraceDiff: %v (stderr %q)", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "<- dominant") {
@@ -77,7 +77,7 @@ func TestTraceDiffWritesJSON(t *testing.T) {
 
 func TestTraceDiffMissingFile(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := TraceDiff("prog", []string{"-a", "/nonexistent/a.json", "-b", "/nonexistent/b.json"}, &stdout, &stderr)
+	err := TraceDiff(&Env{"prog", &stdout, &stderr}, []string{"-a", "/nonexistent/a.json", "-b", "/nonexistent/b.json"})
 	if err == nil || errors.Is(err, ErrUsage) {
 		t.Fatalf("err = %v, want a file error", err)
 	}

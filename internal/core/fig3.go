@@ -32,7 +32,9 @@ type Fig3Result struct {
 
 // RunMolDesign executes the molecular-design campaign (§3.1) on the
 // platform's FaaS stack: simulations on the 16-worker CPU executor,
-// training and inference on one GPU worker.
+// training and inference on one GPU worker. A cfg that fails
+// moldesign.Config.Validate is returned as an error before anything
+// runs.
 func RunMolDesign(cfg moldesign.Config) (*Fig3Result, error) {
 	return runMolDesign(cfg, false)
 }
@@ -46,6 +48,9 @@ func RunMolDesignPipelined(cfg moldesign.Config) (*Fig3Result, error) {
 }
 
 func runMolDesign(cfg moldesign.Config, pipelined bool) (*Fig3Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	pl, err := NewPlatform(Options{})
 	if err != nil {
 		return nil, err

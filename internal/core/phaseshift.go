@@ -17,21 +17,6 @@ import (
 	"repro/internal/weightcache"
 )
 
-// globalRepart is the process-wide repartitioning spec installed by
-// SetRepart; PhaseShiftConfig.Repart overrides it per run.
-var globalRepart *repart.Spec
-
-// SetRepart installs (or, with nil, removes) a process-wide
-// repartitioning spec. The CLIs' -repart flag routes here so the
-// phase-shift scenario gains the online controller without signature
-// changes; with the flag unset every run stays byte-identical to the
-// static experiments.
-func SetRepart(s *repart.Spec) { globalRepart = s }
-
-// RepartSpec returns the process-wide repartitioning spec (nil when
-// the controller is off).
-func RepartSpec() *repart.Spec { return globalRepart }
-
 // PhaseShiftConfig parameterizes the repartitioning scenario: two
 // LLaMa tenants on one A100 whose load phases are shifted against each
 // other — tenant A bursts first while B trickles, then the roles swap
@@ -43,9 +28,7 @@ type PhaseShiftConfig struct {
 	// Repart is set.
 	Mode Mode
 	// Repart, when non-nil, runs the online controller instead of a
-	// static plan. Deliberately no fallback to the SetRepart global:
-	// the comparison report runs static and controlled cells in one
-	// process, and the static baselines must stay static.
+	// static plan.
 	Repart *repart.Spec
 	// HeavyCompletions is each tenant's burst size (default 24).
 	HeavyCompletions int

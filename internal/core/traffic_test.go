@@ -174,7 +174,7 @@ func TestTrafficMillionUsers(t *testing.T) {
 
 func TestTrafficValidate(t *testing.T) {
 	bad := []TrafficConfig{
-		{},                             // no horizon
+		{}, // no horizon
 		{Horizon: time.Hour, TroughFrac: 2},
 		{Horizon: time.Hour, Bursts: []Burst{{Multiplier: 0.5, Duration: time.Second}}},
 		{Horizon: time.Hour, Bursts: []Burst{{Multiplier: 2}}},

@@ -215,6 +215,6 @@ func TestValidateRecoveryKnobs(t *testing.T) {
 // stubProvider satisfies provider.Provider for Validate-only tests.
 type stubProvider struct{}
 
-func (stubProvider) Name() string                        { return "stub" }
-func (stubProvider) Provision(n int) *devent.Event       { return nil }
-func (stubProvider) Release(nodes []*gpuctl.Node) error  { return nil }
+func (stubProvider) Name() string                       { return "stub" }
+func (stubProvider) Provision(n int) *devent.Event      { return nil }
+func (stubProvider) Release(nodes []*gpuctl.Node) error { return nil }

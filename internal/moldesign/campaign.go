@@ -59,6 +59,44 @@ func DefaultConfig() Config {
 	}
 }
 
+// ConfigError names the Config field that makes a campaign unable to
+// run.
+type ConfigError struct {
+	Field string // e.g. "CandidatePool"
+	Msg   string // e.g. "must be at least the batch size (16), got 0"
+}
+
+func (e *ConfigError) Error() string { return "moldesign: " + e.Field + " " + e.Msg }
+
+// Validate rejects a campaign that cannot run: each round simulates
+// the top BatchSize of CandidatePool scored candidates, the emulator
+// needs an initial training set, and scoring walks the pool in
+// InferChunk steps.
+func (c Config) Validate() error {
+	bad := func(field, format string, a ...any) error {
+		return &ConfigError{Field: field, Msg: fmt.Sprintf(format, a...)}
+	}
+	switch {
+	case c.InitialPool < 1:
+		return bad("InitialPool", "must be at least 1, got %d", c.InitialPool)
+	case c.BatchSize < 1:
+		return bad("BatchSize", "must be at least 1, got %d", c.BatchSize)
+	case c.CandidatePool < c.BatchSize:
+		return bad("CandidatePool", "must be at least the batch size (%d), got %d", c.BatchSize, c.CandidatePool)
+	case c.Rounds < 0:
+		return bad("Rounds", "must not be negative, got %d", c.Rounds)
+	case c.InferChunk < 1:
+		return bad("InferChunk", "must be at least 1, got %d", c.InferChunk)
+	case c.TrainEpochs < 0:
+		return bad("TrainEpochs", "must not be negative, got %d", c.TrainEpochs)
+	case c.SimBase < 0 || c.SimSpread < 0:
+		return bad("SimBase", "and SimSpread must not be negative, got %s and %s", c.SimBase, c.SimSpread)
+	case c.Lambda < 0:
+		return bad("Lambda", "must not be negative, got %g", c.Lambda)
+	}
+	return nil
+}
+
 // Report is the campaign outcome.
 type Report struct {
 	// BestIP is the highest simulated IP found.

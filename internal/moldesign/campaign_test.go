@@ -305,3 +305,41 @@ func TestGreedySelectionBeatsRandomControl(t *testing.T) {
 		t.Fatalf("greedy %.3f not clearly above random %.3f", greedy, random)
 	}
 }
+
+// TestConfigValidate checks that every campaign that cannot run is
+// rejected with an error naming the offending field, and that the
+// smallest runnable sizes pass.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		set   func(*Config)
+		field string // "" = valid
+	}{
+		{"default", func(*Config) {}, ""},
+		{"smallest", func(c *Config) { c.InitialPool, c.BatchSize, c.CandidatePool, c.Rounds = 1, 1, 1, 0 }, ""},
+		{"pool equals batch", func(c *Config) { c.CandidatePool = c.BatchSize }, ""},
+		{"no initial pool", func(c *Config) { c.InitialPool = 0 }, "InitialPool"},
+		{"zero batch", func(c *Config) { c.BatchSize = 0 }, "BatchSize"},
+		{"empty candidate pool", func(c *Config) { c.CandidatePool = 0 }, "CandidatePool"},
+		{"pool below batch", func(c *Config) { c.CandidatePool = c.BatchSize - 1 }, "CandidatePool"},
+		{"negative rounds", func(c *Config) { c.Rounds = -1 }, "Rounds"},
+		{"zero infer chunk", func(c *Config) { c.InferChunk = 0 }, "InferChunk"},
+		{"negative epochs", func(c *Config) { c.TrainEpochs = -1 }, "TrainEpochs"},
+		{"negative sim cost", func(c *Config) { c.SimSpread = -time.Second }, "SimBase"},
+		{"negative lambda", func(c *Config) { c.Lambda = -0.1 }, "Lambda"},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		err := cfg.Validate()
+		if tc.field == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		ce, ok := err.(*ConfigError)
+		if !ok || ce.Field != tc.field {
+			t.Errorf("%s: err = %v, want a ConfigError for %s", tc.name, err, tc.field)
+		}
+	}
+}

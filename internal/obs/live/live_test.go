@@ -85,7 +85,7 @@ func TestMetricsEndpointConformance(t *testing.T) {
 
 func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 	srv := NewServer()
-	tail := srv.Tail("unit", 0)
+	tail := srv.Tail("unit")
 
 	// One collector feeding the tail and the trace artifact.
 	clk := &fakeClock{}
@@ -282,7 +282,7 @@ func TestServerStartClose(t *testing.T) {
 // the total on /spans.
 func TestSlowFollowerDropsAreCounted(t *testing.T) {
 	srv := NewServer()
-	tail := srv.Tail("unit", 0)
+	tail := srv.Tail("unit")
 	_, cancel := tail.follow(1) // never read
 	defer cancel()
 	clk := &fakeClock{}

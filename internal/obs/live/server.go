@@ -58,15 +58,28 @@ func (s *Server) AttachDB(scope string, db *tsdb.DB) {
 // Tail creates and registers a span tail for /spans. Pids are assigned
 // sequentially in registration order, matching the collectors'
 // positions in the Chrome-trace artifact of the same run.
-func (s *Server) Tail(scope string, maxBytes int) *SpanTail {
+func (s *Server) Tail(scope string) *SpanTail {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	t := NewSpanTail(len(s.tails)+1, scope, maxBytes)
+	t := NewSpanTail(len(s.tails)+1, scope)
 	s.tails = append(s.tails, t)
 	s.mu.Unlock()
 	return t
+}
+
+// Hooks registers one run's span tail under scope and returns the
+// run's OnDB and OnCollector hooks: the first attaches its series
+// store, the second streams its spans into the tail. Both are nil on
+// a nil server.
+func (s *Server) Hooks(scope string) (onDB func(*tsdb.DB), onCollector func(*obs.Collector)) {
+	if s == nil {
+		return nil, nil
+	}
+	tail := s.Tail(scope)
+	return func(db *tsdb.DB) { s.AttachDB(scope, db) },
+		func(c *obs.Collector) { c.SetSink(tail) }
 }
 
 // Progress returns the server's progress tracker (never nil on a

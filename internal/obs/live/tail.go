@@ -28,24 +28,19 @@ type SpanTail struct {
 	scope   string
 	chunks  [][]byte // one entry per EmitSpan flush, ",\n"-prefixed
 	bytes   int
-	max     int
 	evicted int64
 	dropped int64 // chunks not delivered to a follower whose buffer was full
 	spans   int64
 	subs    map[chan []byte]struct{}
 }
 
-// DefaultTailBytes bounds a tail's retained window when the caller
-// passes maxBytes <= 0.
+// DefaultTailBytes bounds a tail's retained window.
 const DefaultTailBytes = 1 << 20
 
 // NewSpanTail builds a tail rendering as trace process pid (matching
 // the collector's position in the trace artifact) named by scope.
-func NewSpanTail(pid int, scope string, maxBytes int) *SpanTail {
-	if maxBytes <= 0 {
-		maxBytes = DefaultTailBytes
-	}
-	t := &SpanTail{scope: scope, max: maxBytes, subs: make(map[chan []byte]struct{})}
+func NewSpanTail(pid int, scope string) *SpanTail {
+	t := &SpanTail{scope: scope, subs: make(map[chan []byte]struct{})}
 	// The TraceSection writes its process metadata on construction;
 	// route it through the same capture path as every event.
 	t.sec = obs.NewTraceSection(captureWriter{t}, pid, scope)
@@ -62,7 +57,7 @@ func (w captureWriter) Write(p []byte) (int, error) {
 	t.mu.Lock()
 	t.chunks = append(t.chunks, chunk)
 	t.bytes += len(chunk)
-	for t.bytes > t.max && len(t.chunks) > 1 {
+	for t.bytes > DefaultTailBytes && len(t.chunks) > 1 {
 		t.bytes -= len(t.chunks[0])
 		t.chunks[0] = nil // release the evicted chunk's backing array
 		t.chunks = t.chunks[1:]

@@ -216,10 +216,10 @@ func (db *DB) Samples(name string, from, to time.Duration, labels ...obs.Label) 
 
 // SeriesInfo describes one retained series for discovery endpoints.
 type SeriesInfo struct {
-	Name   string      `json:"name"`
-	Kind   string      `json:"kind"`
-	Labels []obs.Label `json:"labels,omitempty"`
-	Len    int         `json:"len"`
+	Name   string        `json:"name"`
+	Kind   string        `json:"kind"`
+	Labels []obs.Label   `json:"labels,omitempty"`
+	Len    int           `json:"len"`
 	Oldest time.Duration `json:"oldest_ns"`
 	Newest time.Duration `json:"newest_ns"`
 }

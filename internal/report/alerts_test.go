@@ -2,39 +2,33 @@ package report
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/obs"
+	"repro/internal/obs/live"
 )
 
 // The alerts artifact's regression contract: for every scenario the
 // rendered alert history is byte-identical at -parallel 1 and 4 and
-// with span sinks attached (as the live server's tails are). The
-// artifact goes to its own writer, so the scale scenario's wall-clock
-// lines (which legitimately vary) never enter the comparison.
+// with the live plane attached (its span tails tee off every cell).
+// The artifact goes to its own writer, so the scale scenario's
+// wall-clock lines (which legitimately vary) never enter the
+// comparison.
 
-// nopSink discards spans; it is safe for concurrent use.
-type nopSink struct{}
-
-func (nopSink) EmitSpan(*obs.Span) {}
-
-// nopWrap is a WrapSink that replaces every sink with a nopSink.
-func nopWrap[K any](K, obs.SpanSink) obs.SpanSink { return nopSink{} }
-
-func renderAutoscaleAlerts(t *testing.T, workers int, tee bool) []byte {
+func renderAutoscaleAlerts(t *testing.T, workers int, served bool) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
 	opts := autoscaleTestOptions()
-	if tee {
-		opts.WrapSink = nopWrap[string]
+	if served {
+		opts.Live = live.NewServer()
 	}
 	opts.Alerts = &alerts
 	if err := Autoscale(&art, opts); err != nil {
-		t.Fatalf("Autoscale with %d workers (tee=%v): %v", workers, tee, err)
+		t.Fatalf("Autoscale with %d workers (served=%v): %v", workers, served, err)
 	}
 	return alerts.Bytes()
 }
@@ -60,22 +54,22 @@ func TestAutoscaleAlertsArtifactDeterminism(t *testing.T) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
 	}
 	if str := renderAutoscaleAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("alerts artifact with span sinks attached differs:\n%s", firstDiff(seq, str))
+		t.Fatalf("alerts artifact with the live plane attached differs:\n%s", firstDiff(seq, str))
 	}
 }
 
-func renderFleetAlerts(t *testing.T, workers int, tee bool) []byte {
+func renderFleetAlerts(t *testing.T, workers int, served bool) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
 	opts := fleetTestOptions()
-	if tee {
-		opts.WrapSink = nopWrap[string]
+	if served {
+		opts.Live = live.NewServer()
 	}
 	opts.Alerts = &alerts
 	if err := Fleet(&art, opts); err != nil {
-		t.Fatalf("Fleet with %d workers (tee=%v): %v", workers, tee, err)
+		t.Fatalf("Fleet with %d workers (served=%v): %v", workers, served, err)
 	}
 	return alerts.Bytes()
 }
@@ -101,21 +95,21 @@ func TestFleetAlertsArtifactDeterminism(t *testing.T) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
 	}
 	if str := renderFleetAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("alerts artifact with span sinks attached differs:\n%s", firstDiff(seq, str))
+		t.Fatalf("alerts artifact with the live plane attached differs:\n%s", firstDiff(seq, str))
 	}
 }
 
-func renderScaleAlerts(t *testing.T, workers int, tee bool) []byte {
+func renderScaleAlerts(t *testing.T, workers int, served bool) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
 	opts := ScaleOptions{Tasks: 8000, Shards: 4, Seed: 3, Alerts: &alerts}
-	if tee {
-		opts.WrapSink = nopWrap[int]
+	if served {
+		opts.Live = live.NewServer()
 	}
 	if err := Scale(&art, opts); err != nil {
-		t.Fatalf("Scale with %d workers (tee=%v): %v", workers, tee, err)
+		t.Fatalf("Scale with %d workers (served=%v): %v", workers, served, err)
 	}
 	return alerts.Bytes()
 }
@@ -137,6 +131,20 @@ func TestScaleAlertsArtifactDeterminism(t *testing.T) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
 	}
 	if str := renderScaleAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("alerts artifact with span sinks attached differs:\n%s", firstDiff(seq, str))
+		t.Fatalf("alerts artifact with the live plane attached differs:\n%s", firstDiff(seq, str))
+	}
+}
+
+// TestScaleLiveHooks checks the scale artifact's live-plane wiring:
+// every shard attaches a series store and span tail under its scope,
+// and progress counts every shard and task.
+func TestScaleLiveHooks(t *testing.T) {
+	srv := live.NewServer()
+	if err := Scale(io.Discard, ScaleOptions{Tasks: 2000, Shards: 2, Live: srv}); err != nil {
+		t.Fatal(err)
+	}
+	checkLiveScopes(t, srv, []string{"scale/shard0", "scale/shard1"})
+	if p := srv.Progress().Snapshot(); p.ShardsTotal != 2 || p.ShardsDone != 2 || p.TasksDone != 2000 {
+		t.Errorf("progress = %+v, want 2/2 shards and 2000 tasks done", p)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/obs"
+	"repro/internal/obs/live"
 	"repro/internal/obs/tsdb"
 )
 
@@ -19,15 +19,10 @@ type AutoscaleOptions struct {
 	GPUs    int
 	Horizon time.Duration
 	Seed    int64
-	// WrapSink, when set, wraps each cell's span sink (base is nil:
-	// the cells export no spans of their own) — the live server tees
-	// its /spans tail in here. Called from the cells' harness workers
-	// concurrently: it must be safe for concurrent use.
-	WrapSink func(cell string, base obs.SpanSink) obs.SpanSink
-	// Telemetry attaches the live observability plane per cell (the
-	// cell label plays the fleet artifact's load role). Its OnCellDB
-	// runs concurrently from the cells' harness workers.
-	Telemetry *FleetTelemetry
+	// Live, when set, attaches each cell to the live observability
+	// plane: a series store and a span tail under scope
+	// "autoscale/<cell>".
+	Live *live.Server
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
 	// writer. Purely virtual: byte-identical at any -parallel level.
@@ -73,17 +68,10 @@ func Autoscale(w io.Writer, opts AutoscaleOptions) error {
 		cfg := base
 		cfg.StaticBlocks = grid[i].staticBlocks
 		label := grid[i].label
-		if t := opts.Telemetry; t != nil && t.TSDB != nil {
-			tc := *t.TSDB
-			cfg.TSDB = &tc
-			if t.OnCellDB != nil {
-				cfg.OnDB = func(db *tsdb.DB) { t.OnCellDB(label, db) }
-			}
+		if opts.Live != nil {
+			cfg.TSDB = &tsdb.Config{}
 		}
-		if opts.WrapSink != nil {
-			sink := opts.WrapSink(label, nil)
-			cfg.OnCollector = func(c *obs.Collector) { c.SetSink(sink) }
-		}
+		cfg.OnDB, cfg.OnCollector = opts.Live.Hooks("autoscale/" + label)
 		res, err := core.RunAutoscale(cfg)
 		if err != nil {
 			return cell{}, fmt.Errorf("autoscale %s: %w", label, err)

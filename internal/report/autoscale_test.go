@@ -3,13 +3,13 @@ package report
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs/tsdb"
+	"repro/internal/obs/live"
 )
 
 // autoscaleTestOptions shrinks the grid to a fast-but-real cell: the
@@ -21,18 +21,19 @@ func autoscaleTestOptions() AutoscaleOptions {
 
 // TestAutoscaleDeterminism is the artifact's regression contract:
 // byte-identical at -parallel 1 and 4, across repeated parallel runs,
-// and with span sinks attached.
+// and with the live plane attached (every cell carries a series store
+// either way, so only the span tails differ).
 func TestAutoscaleDeterminism(t *testing.T) {
-	render := func(workers int, tee bool) []byte {
+	render := func(workers int, served bool) []byte {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var b bytes.Buffer
 		opts := autoscaleTestOptions()
-		if tee {
-			opts.WrapSink = nopWrap[string]
+		if served {
+			opts.Live = live.NewServer()
 		}
 		if err := Autoscale(&b, opts); err != nil {
-			t.Fatalf("Autoscale with %d workers (tee=%v): %v", workers, tee, err)
+			t.Fatalf("Autoscale with %d workers (served=%v): %v", workers, served, err)
 		}
 		return b.Bytes()
 	}
@@ -50,7 +51,7 @@ func TestAutoscaleDeterminism(t *testing.T) {
 	}
 	str := render(4, true)
 	if !bytes.Equal(seq, str) {
-		t.Fatalf("output with span sinks attached differs:\n%s", firstDiff(seq, str))
+		t.Fatalf("output with the live plane attached differs:\n%s", firstDiff(seq, str))
 	}
 }
 
@@ -109,31 +110,13 @@ func TestAutoscaleVerdictHolds(t *testing.T) {
 }
 
 // TestAutoscaleTelemetryHooks checks the live-plane wiring: each cell
-// gets its own labeled series store.
+// attaches its own series store and span tail, scoped by cell.
 func TestAutoscaleTelemetryHooks(t *testing.T) {
-	var b bytes.Buffer
 	opts := autoscaleTestOptions()
-	// OnCellDB runs concurrently from the cells' harness workers.
-	var mu sync.Mutex
-	seen := make(map[string]*tsdb.DB)
-	opts.Telemetry = &FleetTelemetry{
-		TSDB: &tsdb.Config{},
-		OnCellDB: func(cell string, db *tsdb.DB) {
-			mu.Lock()
-			seen[cell] = db
-			mu.Unlock()
-		},
-	}
-	if err := Autoscale(&b, opts); err != nil {
+	opts.Live = live.NewServer()
+	if err := Autoscale(io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range autoscaleGrid(4) {
-		db := seen[c.label]
-		if db == nil {
-			t.Fatalf("cell %s never attached a series store (got %v)", c.label, seen)
-		}
-		if len(db.List()) == 0 {
-			t.Errorf("cell %s store scraped no series", c.label)
-		}
-	}
+	// Scopes list in lexicographic order.
+	checkLiveScopes(t, opts.Live, []string{"autoscale/autoscaled", "autoscale/static-1", "autoscale/static-4"})
 }

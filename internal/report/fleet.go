@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/obs"
+	"repro/internal/obs/live"
 	"repro/internal/obs/tsdb"
 )
 
@@ -21,29 +21,15 @@ type FleetOptions struct {
 	Duration       time.Duration
 	ArrivalRate    float64
 	Seed           int64
-	// WrapSink, when set, wraps each cell's span sink (base is nil:
-	// the cells export no spans of their own) — the live server tees
-	// its /spans tail in here. Called from the cells' harness workers
-	// concurrently: it must be safe for concurrent use.
-	WrapSink func(load string, base obs.SpanSink) obs.SpanSink
-	// Telemetry attaches the live observability plane per load cell.
-	Telemetry *FleetTelemetry
+	// Live, when set, attaches each load cell to the live observability
+	// plane: a series store and a span tail under scope
+	// "fleet/<load>".
+	Live *live.Server
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
-	// writer, forcing a per-cell tsdb store on if Telemetry hasn't
-	// already. Purely virtual: byte-identical at any -parallel level.
+	// writer, forcing a per-cell tsdb store on. Purely virtual:
+	// byte-identical at any -parallel level.
 	Alerts io.Writer
-}
-
-// FleetTelemetry carries the live-plane hooks for the fleet artifact:
-// one virtual-time series store per load cell.
-type FleetTelemetry struct {
-	TSDB *tsdb.Config
-	// OnCellDB is called with each cell's store right after the cell
-	// assembles, on the harness worker running that cell. Cells run
-	// concurrently, so OnCellDB must be safe for concurrent use and
-	// must not touch any cell's virtual state.
-	OnCellDB func(load string, db *tsdb.DB)
 }
 
 // fleetLoads are the offered-load multipliers of the artifact's grid,
@@ -73,20 +59,10 @@ func Fleet(w io.Writer, opts FleetOptions) error {
 		cfg := base
 		cfg.ArrivalRate = base.ArrivalRate * fleetLoads[i]
 		label := fleetLoadLabel(fleetLoads[i])
-		if t := opts.Telemetry; t != nil && t.TSDB != nil {
-			tc := *t.TSDB
-			cfg.TSDB = &tc
-			if t.OnCellDB != nil {
-				cfg.OnDB = func(db *tsdb.DB) { t.OnCellDB(label, db) }
-			}
-		}
-		if opts.Alerts != nil && cfg.TSDB == nil {
+		if opts.Live != nil || opts.Alerts != nil {
 			cfg.TSDB = &tsdb.Config{}
 		}
-		if opts.WrapSink != nil {
-			sink := opts.WrapSink(label, nil)
-			cfg.OnCollector = func(c *obs.Collector) { c.SetSink(sink) }
-		}
+		cfg.OnDB, cfg.OnCollector = opts.Live.Hooks("fleet/" + label)
 		res, err := core.RunFleet(cfg)
 		if err != nil {
 			return cell{}, fmt.Errorf("fleet %s: %w", label, err)

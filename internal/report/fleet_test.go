@@ -2,14 +2,17 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs/tsdb"
+	"repro/internal/obs/live"
 )
 
 // fleetTestOptions is a small-but-real grid cell basis: enough GPUs
@@ -24,37 +27,41 @@ func fleetTestOptions() FleetOptions {
 
 // TestFleetDeterminism is the fleet artifact's regression contract:
 // the rendering is byte-identical at -parallel 1 and 4, across
-// repeated parallel runs, and with span sinks attached (every reported
-// line is virtual, so neither scheduling nor span export may leak in).
+// repeated parallel runs, and with the live plane attached (every
+// reported line is virtual, so neither scheduling nor span export may
+// leak in). The live plane turns each cell's series store on, whose
+// scrapes count as events, so that run is held against a run whose
+// -alerts output forces the same stores on without any span tail.
 func TestFleetDeterminism(t *testing.T) {
-	render := func(workers int, tee bool) []byte {
+	render := func(workers int, set func(*FleetOptions)) []byte {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var b bytes.Buffer
 		opts := fleetTestOptions()
-		if tee {
-			opts.WrapSink = nopWrap[string]
+		if set != nil {
+			set(&opts)
 		}
 		if err := Fleet(&b, opts); err != nil {
-			t.Fatalf("Fleet with %d workers (tee=%v): %v", workers, tee, err)
+			t.Fatalf("Fleet with %d workers: %v", workers, err)
 		}
 		return b.Bytes()
 	}
-	seq := render(1, false)
+	seq := render(1, nil)
 	if len(seq) == 0 {
 		t.Fatal("sequential fleet artifact is empty")
 	}
-	par := render(4, false)
+	par := render(4, nil)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("parallel output differs from sequential:\n%s", firstDiff(seq, par))
 	}
-	par2 := render(4, false)
+	par2 := render(4, nil)
 	if !bytes.Equal(par, par2) {
 		t.Fatalf("repeated parallel runs differ:\n%s", firstDiff(par, par2))
 	}
-	str := render(4, true)
-	if !bytes.Equal(seq, str) {
-		t.Fatalf("output with span sinks attached differs:\n%s", firstDiff(seq, str))
+	stores := render(1, func(o *FleetOptions) { o.Alerts = io.Discard })
+	served := render(4, func(o *FleetOptions) { o.Live = live.NewServer() })
+	if !bytes.Equal(stores, served) {
+		t.Fatalf("output with the live plane attached differs:\n%s", firstDiff(stores, served))
 	}
 }
 
@@ -87,32 +94,47 @@ func TestFleetArtifactShape(t *testing.T) {
 }
 
 // TestFleetTelemetryHooks checks the live-plane wiring: each load
-// cell gets its own series store, labeled by cell.
+// cell attaches its own series store and span tail, scoped by cell.
 func TestFleetTelemetryHooks(t *testing.T) {
-	var b bytes.Buffer
 	opts := fleetTestOptions()
-	// OnCellDB runs concurrently from the cells' harness workers.
-	var mu sync.Mutex
-	seen := make(map[string]*tsdb.DB)
-	opts.Telemetry = &FleetTelemetry{
-		TSDB: &tsdb.Config{},
-		OnCellDB: func(load string, db *tsdb.DB) {
-			mu.Lock()
-			seen[load] = db
-			mu.Unlock()
-		},
-	}
-	if err := Fleet(&b, opts); err != nil {
+	opts.Live = live.NewServer()
+	if err := Fleet(io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
+	var scopes []string
 	for _, m := range fleetLoads {
-		label := fleetLoadLabel(m)
-		db := seen[label]
-		if db == nil {
-			t.Fatalf("cell %s never attached a series store (got %v)", label, seen)
+		scopes = append(scopes, "fleet/"+fleetLoadLabel(m))
+	}
+	checkLiveScopes(t, opts.Live, scopes)
+}
+
+// checkLiveScopes checks through srv's HTTP API that exactly the
+// given scopes attached, in order, each with a scraped series store
+// and a span tail.
+func checkLiveScopes(t *testing.T, srv *live.Server, want []string) {
+	t.Helper()
+	get := func(url string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		return rec
+	}
+	var got []struct {
+		Scope   string `json:"scope"`
+		Series  int    `json:"series"`
+		Scrapes int64  `json:"scrapes"`
+	}
+	if err := json.Unmarshal(get("/api/scopes").Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("attached scopes %+v, want %q", got, want)
+	}
+	for i, sc := range got {
+		if sc.Scope != want[i] || sc.Series == 0 || sc.Scrapes == 0 {
+			t.Errorf("scope %d = %+v, want %s with scraped series", i, sc, want[i])
 		}
-		if len(db.List()) == 0 {
-			t.Errorf("cell %s store scraped no series", label)
+		if rec := get("/spans?scope=" + want[i]); rec.Code != http.StatusOK {
+			t.Errorf("scope %s has no span tail: %d %s", want[i], rec.Code, rec.Body)
 		}
 	}
 }

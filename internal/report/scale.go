@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/live"
 	"repro/internal/obs/tsdb"
 )
 
@@ -26,16 +27,14 @@ type ScaleOptions struct {
 	// a temp file during the run (shards render concurrently) and
 	// splices them into one Perfetto-loadable artifact at this path.
 	TracePath string
-	// Telemetry forwards to core.ScaleConfig.Telemetry: per-shard tsdb
-	// stores and progress callbacks for the live observability plane.
-	Telemetry *core.ScaleTelemetry
-	// WrapSink, when set, wraps each shard's span sink (nil without
-	// TracePath) — the live server tees its /spans tail in here.
-	WrapSink func(shard int, base obs.SpanSink) obs.SpanSink
+	// Live, when set, attaches each shard to the live observability
+	// plane: a series store and a span tail under scope
+	// "scale/shard<N>", and batched progress.
+	Live *live.Server
 	// Alerts, when set, renders each shard's end-of-run alert-rule
 	// history (engine state + resolved incidents, shard order) to this
-	// writer, forcing per-shard tsdb stores on if Telemetry hasn't
-	// already. Purely virtual: byte-identical at any -parallel level.
+	// writer, forcing per-shard tsdb stores on. Purely virtual:
+	// byte-identical at any -parallel level.
 	Alerts io.Writer
 }
 
@@ -71,28 +70,23 @@ func Scale(w io.Writer, opts ScaleOptions) error {
 	bw := bufio.NewWriter(w)
 	header(bw, "Million-task throughput — sharded open-loop scenario")
 	cfg := opts.config()
-	// Alerts need the shard stores, which only surface through the
-	// telemetry hook: force per-shard tsdbs on and capture each handle
-	// into its shard slot (index-addressed, so capture order — and with
-	// it the rendered artifact — is independent of shard scheduling).
+	// The shard stores only surface through the telemetry hook, which
+	// captures each handle into its shard slot (index-addressed, so
+	// capture order — and with it the alerts artifact — is independent
+	// of shard scheduling).
 	var shardDBs []*tsdb.DB
-	if opts.Alerts != nil {
-		tel := core.ScaleTelemetry{}
-		if opts.Telemetry != nil {
-			tel = *opts.Telemetry
-		}
-		if tel.TSDB == nil {
-			tel.TSDB = &tsdb.Config{}
-		}
+	cfg.Telemetry = &core.ScaleTelemetry{}
+	if opts.Live != nil || opts.Alerts != nil {
 		shardDBs = make([]*tsdb.DB, cfg.Shards)
-		inner := tel.OnShardDB
-		tel.OnShardDB = func(shard int, db *tsdb.DB) {
+		cfg.Telemetry.TSDB = &tsdb.Config{}
+		cfg.Telemetry.OnShardDB = func(shard int, db *tsdb.DB) {
 			shardDBs[shard] = db
-			if inner != nil {
-				inner(shard, db)
-			}
+			opts.Live.AttachDB(shardScope(shard), db)
 		}
-		opts.Telemetry = &tel
+	}
+	if opts.Live != nil {
+		opts.Live.Progress().SetShards(cfg.Shards)
+		cfg.Telemetry.Progress = opts.Live.Progress()
 	}
 	res, wall, err := runScale(cfg, opts)
 	if err != nil {
@@ -104,6 +98,9 @@ func Scale(w io.Writer, opts ScaleOptions) error {
 	}
 	return bw.Flush()
 }
+
+// shardScope names one shard on the live plane and in the trace.
+func shardScope(shard int) string { return fmt.Sprintf("scale/shard%d", shard) }
 
 // writeScaleAlerts renders each shard's alert history in shard order.
 func writeScaleAlerts(w io.Writer, dbs []*tsdb.DB) error {
@@ -127,7 +124,6 @@ func writeScaleAlerts(w io.Writer, dbs []*tsdb.DB) error {
 // into the final artifact afterwards.
 func runScale(cfg core.ScaleConfig, opts ScaleOptions) (*core.ScaleResult, scaleWall, error) {
 	tracePath := opts.TracePath
-	cfg.Telemetry = opts.Telemetry
 	var wall scaleWall
 	var files []*os.File
 	var writers []*bufio.Writer
@@ -148,14 +144,14 @@ func runScale(cfg core.ScaleConfig, opts ScaleOptions) (*core.ScaleResult, scale
 			files = append(files, f)
 			fw := bufio.NewWriterSize(f, 1<<20)
 			writers = append(writers, fw)
-			sec := obs.NewTraceSection(fw, i+1, fmt.Sprintf("scale/shard%d", i))
+			sec := obs.NewTraceSection(fw, i+1, shardScope(i))
 			sections = append(sections, sec)
 			cfg.Sinks[i] = sec
 		}
 	}
-	if opts.WrapSink != nil {
+	if opts.Live != nil {
 		for i := range cfg.Sinks {
-			cfg.Sinks[i] = opts.WrapSink(i, cfg.Sinks[i])
+			cfg.Sinks[i] = live.Tee(cfg.Sinks[i], opts.Live.Tail(shardScope(i)))
 		}
 	}
 	runtime.GC()
